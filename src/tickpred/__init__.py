@@ -13,11 +13,10 @@ from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .evaluate import EvaluationReport, accuracy, evaluate_trace, rmse, rmse_ratio
 from .ingest import ColumnSchema, FilterDecision, PriceSeries, TickRecord, build_series, filter_series, parse_ticks
 from .predict import DiffusionKernelModel, MarkovChainModel, PredictionTrace, run_protocol
-from .predictability import PredictabilityReport, fano_solve
+from .predictability import fano_solve
 from .quantize import (
     QuantizationScheme,
     QuantizedSequence,
-    dequantize,
     fixed_count_scheme,
     fixed_interval_scheme,
     quantize_fixed,
@@ -36,7 +35,6 @@ __all__ = [
     "EvaluationReport",
     "FilterDecision",
     "MarkovChainModel",
-    "PredictabilityReport",
     "PredictionTrace",
     "PriceSeries",
     "QuantizationScheme",
@@ -48,7 +46,6 @@ __all__ = [
     "anova_oneway",
     "bin_feature",
     "build_series",
-    "dequantize",
     "estimate_entropy",
     "evaluate_trace",
     "fano_solve",

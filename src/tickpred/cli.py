@@ -36,15 +36,6 @@ def _column(text: str):
     return int(text) if text.isdigit() else text
 
 
-def _write_or_print(path, header, rows):
-    if path:
-        write_csv(path, header, rows)
-    else:
-        out = csv.writer(sys.stdout)
-        out.writerow(header)
-        out.writerows(rows)
-
-
 def _read_states(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as f:
         lines = [ln.strip() for ln in f if ln.strip()]
@@ -78,7 +69,7 @@ def cmd_ingest(args) -> int:
         if kept:
             series.to_interchange(out_dir / f"{code}.csv")
         rows.append([code, len(series), series.n_days, int(kept), reason])
-    _write_or_print(args.report, ["stock_code", "n_ticks", "n_days", "kept", "reason"], rows)
+    write_csv(args.report or sys.stdout, ["stock_code", "n_ticks", "n_days", "kept", "reason"], rows)
     print(f"{len(series_map)} stocks, {malformed} malformed rows skipped", file=sys.stderr)
     return 0
 
@@ -96,10 +87,7 @@ def cmd_quantize(args) -> int:
             series.day_boundaries[1] if series.n_days >= 2 else len(series)
         )
         seq = quantize_fixed_count(series, args.state_count, train_end)
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write("state\n")
-        for s in seq.states.tolist():
-            f.write(f"{s}\n")
+    write_csv(args.out, ["state"], [[s] for s in seq.states.tolist()])
     if args.scheme_out:
         Path(args.scheme_out).write_text(seq.scheme.to_json() + "\n", encoding="utf-8")
     print(f"{len(seq)} states, {seq.n_distinct} distinct", file=sys.stderr)
@@ -115,7 +103,7 @@ def cmd_entropy(args) -> int:
     if args.nats:
         header.append("s_est_nats")
         row.append(est.s_est_nats)
-    _write_or_print(args.out, header, [row])
+    write_csv(args.out or sys.stdout, header, [row])
     return 0
 
 
@@ -129,7 +117,7 @@ def cmd_predictability(args) -> int:
     for row in rows:
         pi = fano_solve(float(row["s_est"]), int(row["n_distinct"]))
         out_rows.append(list(row.values()) + [pi])
-    _write_or_print(args.out, header, out_rows)
+    write_csv(args.out or sys.stdout, header, out_rows)
     return 0
 
 
@@ -156,7 +144,7 @@ def cmd_predict(args) -> int:
         [trace.start_index + i, int(p), int(a)]
         for i, (p, a) in enumerate(zip(trace.predicted.tolist(), trace.actual.tolist()))
     ]
-    _write_or_print(args.out, ["index", "predicted", "actual"], rows)
+    write_csv(args.out or sys.stdout, ["index", "predicted", "actual"], rows)
     return 0
 
 
@@ -195,7 +183,7 @@ def cmd_evaluate(args) -> int:
         report.rmse_price_ratio if report.rmse_price_ratio is not None else "",
         report.n_test,
     ]
-    _write_or_print(args.out, header, [row])
+    write_csv(args.out or sys.stdout, header, [row])
     if args.json and args.out:
         write_json_mirror(Path(args.out).with_suffix(".json"), header, [row])
     return 0
@@ -207,7 +195,7 @@ def cmd_features(args) -> int:
     rows = build_feature_table(per_stock, args.setting, metadata)
     if not rows:
         raise DataError(f"no stocks kept under setting {args.setting!r}")
-    _write_or_print(args.out, FEATURE_HEADER, [[r[k] for k in FEATURE_HEADER] for r in rows])
+    write_csv(args.out or sys.stdout, FEATURE_HEADER, [[r[k] for k in FEATURE_HEADER] for r in rows])
     return 0
 
 

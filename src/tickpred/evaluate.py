@@ -49,9 +49,13 @@ def rmse(trace: PredictionTrace, scheme: QuantizationScheme, raw_prices=None) ->
 
 def rmse_ratio(report: EvaluationReport, avgprice: float) -> float:
     """RMSE as a permille of the average price."""
+    return _permille(report.rmse, avgprice)
+
+
+def _permille(rmse_cny: float, avgprice: float) -> float:
     if avgprice <= 0:
         raise ValueError(f"average price must be positive, got {avgprice}")
-    return 1000.0 * report.rmse / avgprice
+    return 1000.0 * rmse_cny / avgprice
 
 
 def evaluate_trace(
@@ -61,21 +65,13 @@ def evaluate_trace(
     avgprice: float | None = None,
 ) -> EvaluationReport:
     """One-pass report row for a trace: acc, rmse and optionally the price ratio."""
-    report = EvaluationReport(
+    acc = accuracy(trace)
+    rmse_cny = rmse(trace, scheme, raw_prices)
+    return EvaluationReport(
         stock_code=trace.stock_code,
         model=trace.model,
-        acc=accuracy(trace),
-        rmse=rmse(trace, scheme, raw_prices),
-        rmse_price_ratio=None,
+        acc=acc,
+        rmse=rmse_cny,
+        rmse_price_ratio=None if avgprice is None else _permille(rmse_cny, avgprice),
         n_test=len(trace),
     )
-    if avgprice is not None:
-        report = EvaluationReport(
-            stock_code=report.stock_code,
-            model=report.model,
-            acc=report.acc,
-            rmse=report.rmse,
-            rmse_price_ratio=rmse_ratio(report, avgprice),
-            n_test=report.n_test,
-        )
-    return report

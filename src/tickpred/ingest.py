@@ -1,9 +1,12 @@
 """Parse tick files into per-stock price series and filter out unusable ones.
 
 Prices are held as integer hundredths of CNY (the feed's precision is 0.01),
-so downstream binning and round trips stay exact. Trading days are detected
-by calendar-date changes and concatenated with no gap markers: one stock is
-one continuous sequence across its whole sample.
+so downstream binning and round trips stay exact. Times are exchange-local
+wall-clock seconds (a timestamp's UTC offset is dropped), and a trading day
+is a run of ticks with one exchange-local calendar date: one value of
+``epoch_seconds // 86400``, at ingest and after an interchange round trip.
+Days are concatenated with no gap markers: one stock is one continuous
+sequence across its whole sample.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -34,7 +37,6 @@ class TickRecord:
     stock_code: str
     timestamp: datetime
     price_hundredths: int
-    extra: dict[str, float] = field(default_factory=dict)
 
     @property
     def last_price(self) -> float:
@@ -45,16 +47,14 @@ class TickRecord:
 class ColumnSchema:
     """Which input columns hold the code, timestamp and price.
 
-    Each selector is a 1-based column index or a header name. ``extra`` maps
-    output field names to selectors for pass-through columns (e.g. turnover).
+    Each selector is a 1-based column index or a header name.
     """
 
     code: int | str = 1
     time: int | str = 2
     price: int | str = 3
-    extra: dict[str, int | str] = field(default_factory=dict)
 
-    def resolve(self, header: list[str]) -> tuple[int, int, int, dict[str, int]]:
+    def resolve(self, header: list[str]) -> tuple[int, int, int]:
         def col(sel, what):
             if isinstance(sel, int):
                 if not 1 <= sel <= len(header):
@@ -69,7 +69,6 @@ class ColumnSchema:
             col(self.code, "code"),
             col(self.time, "time"),
             col(self.price, "price"),
-            {name: col(sel, name) for name, sel in self.extra.items()},
         )
 
 
@@ -156,13 +155,12 @@ def _parse_timestamp(text: str) -> datetime:
 
 
 def _epoch_seconds(ts: datetime) -> int:
-    # naive timestamps are pinned to UTC so epoch round trips are exact
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return int(ts.timestamp())
+    """Exchange-local wall-clock seconds: the UTC offset is dropped, the clock read as UTC."""
+    return int(ts.replace(tzinfo=timezone.utc).timestamp())
 
 
 def _boundaries_from_epochs(epoch: np.ndarray) -> list[int]:
+    """Start index of each trading day: a day is one exchange-local calendar date."""
     days = epoch // 86400
     return [0] + (np.flatnonzero(np.diff(days) != 0) + 1).tolist()
 
@@ -195,8 +193,8 @@ def _parse_stream(f, schema: ColumnSchema, origin: str) -> tuple[list[TickRecord
         raise EmptyInputError(f"{origin}: empty input")
     delimiter = _detect_delimiter(header_line)
     header = next(csv.reader([header_line], delimiter=delimiter))
-    code_i, time_i, price_i, extra_i = schema.resolve(header)
-    needed = max([code_i, time_i, price_i, *extra_i.values()]) + 1
+    code_i, time_i, price_i = schema.resolve(header)
+    needed = max(code_i, time_i, price_i) + 1
 
     records: list[TickRecord] = []
     malformed = 0
@@ -212,11 +210,10 @@ def _parse_stream(f, schema: ColumnSchema, origin: str) -> tuple[list[TickRecord
                 raise ValueError("empty stock code")
             ts = _parse_timestamp(row[time_i])
             price = parse_price_hundredths(row[price_i])
-            extra = {name: float(row[i]) for name, i in extra_i.items()}
         except ValueError:
             malformed += 1
             continue
-        records.append(TickRecord(stock_code=code, timestamp=ts, price_hundredths=price, extra=extra))
+        records.append(TickRecord(stock_code=code, timestamp=ts, price_hundredths=price))
     if not records:
         raise EmptyInputError(f"{origin}: no parseable rows ({malformed} malformed)")
     return records, malformed
@@ -231,13 +228,11 @@ def build_series(records: Iterable[TickRecord]) -> dict[str, PriceSeries]:
     for code, recs in grouped.items():
         recs.sort(key=lambda r: r.timestamp)  # stable
         epoch = np.asarray([_epoch_seconds(r.timestamp) for r in recs], dtype=np.int64)
-        dates = [r.timestamp.date() for r in recs]
-        boundaries = [0] + [i for i in range(1, len(recs)) if dates[i] != dates[i - 1]]
         out[code] = PriceSeries(
             stock_code=code,
             epoch_seconds=epoch,
             prices_hundredths=np.asarray([r.price_hundredths for r in recs], dtype=np.int64),
-            day_boundaries=boundaries,
+            day_boundaries=_boundaries_from_epochs(epoch),
         )
     return out
 

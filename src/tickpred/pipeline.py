@@ -15,8 +15,10 @@ import glob
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,6 +56,8 @@ SUMMARY_HEADER = [
 ]
 DROP_HEADER = ["stock_code", "setting", "reason"]
 
+_KEY_OF = {"inputs": "input"}  # config-file key of a field, where it differs from the field name
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -77,7 +81,6 @@ class PipelineConfig:
     volatility_n: str = "returns"  # or "sequence"
     output_dir: str = "out"
     workers: int = 1
-    metadata: str | None = None
 
     def dk_params(self) -> dict:
         return {
@@ -114,30 +117,17 @@ class PipelineConfig:
             raise ConfigError("workers must be >= 1")
 
     def to_text(self) -> str:
-        def col(v):
-            return str(v)
-
-        lines = [
-            f"input = {', '.join(self.inputs)}",
-            f"code_column = {col(self.code_column)}",
-            f"time_column = {col(self.time_column)}",
-            f"price_column = {col(self.price_column)}",
-            f"intervals = {', '.join(f'{t:g}' for t in self.intervals)}",
-            f"state_count = {self.state_count if self.state_count is not None else ''}",
-            f"min_length = {self.min_length}",
-            f"min_states = {self.min_states}",
-            f"dk_dim = {self.dk_dim}",
-            f"dk_epochs = {self.dk_epochs}",
-            f"dk_alpha = {self.dk_alpha:g}",
-            f"dk_margin = {self.dk_margin:g}",
-            f"dk_negatives = {self.dk_negatives}",
-            f"seed = {self.seed}",
-            f"rmse_against = {self.rmse_against}",
-            f"volatility_n = {self.volatility_n}",
-            f"output_dir = {self.output_dir}",
-            f"workers = {self.workers}",
-            f"metadata = {self.metadata if self.metadata is not None else ''}",
-        ]
+        """One ``key = value`` line per field, in field order; ``None`` is an empty value."""
+        hints = get_type_hints(type(self))
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                item = get_args(hints[f.name])[0]
+                text = ", ".join(_format_value(item, v) for v in value)
+            else:
+                text = "" if value is None else _format_value(hints[f.name], value)
+            lines.append(f"{_KEY_OF.get(f.name, f.name)} = {text}")
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
@@ -156,6 +146,7 @@ class PipelineConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "PipelineConfig":
+        """Parse key = value lines; a missing key, or an empty scalar, keeps the field default."""
         raw: dict[str, str] = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -166,69 +157,35 @@ class PipelineConfig:
             key, value = line.split("=", 1)
             raw[key.strip()] = value.strip()
 
-        def column(value: str, default):
-            if value == "":
-                return default
-            return int(value) if value.isdigit() else value
-
-        def parse(key, cast, default):
-            if key not in raw or raw[key] == "":
-                return default
-            try:
-                return cast(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from exc
-
-        known = {
-            "input",
-            "code_column",
-            "time_column",
-            "price_column",
-            "intervals",
-            "state_count",
-            "min_length",
-            "min_states",
-            "dk_dim",
-            "dk_epochs",
-            "dk_alpha",
-            "dk_margin",
-            "dk_negatives",
-            "seed",
-            "rmse_against",
-            "volatility_n",
-            "output_dir",
-            "workers",
-            "metadata",
-        }
-        unknown = set(raw) - known
+        hints = get_type_hints(cls)
+        keys = {_KEY_OF.get(f.name, f.name): f.name for f in fields(cls)}
+        unknown = set(raw) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        values = {}
+        for key, name in keys.items():
+            text = raw.get(key, "")
+            try:
+                if get_origin(hints[name]) is tuple and key in raw:
+                    item = get_args(hints[name])[0]
+                    values[name] = tuple(_parse_value(item, t.strip()) for t in text.split(",") if t.strip())
+                elif text:
+                    values[name] = _parse_value(hints[name], text)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from exc
+        return cls(**values)
 
-        defaults = cls()
-        cfg = cls(
-            inputs=tuple(p.strip() for p in raw.get("input", "").split(",") if p.strip()),
-            code_column=column(raw.get("code_column", ""), defaults.code_column),
-            time_column=column(raw.get("time_column", ""), defaults.time_column),
-            price_column=column(raw.get("price_column", ""), defaults.price_column),
-            intervals=tuple(
-                float(t) for t in raw.get("intervals", "0.01, 0.05").split(",") if t.strip()
-            ),
-            state_count=parse("state_count", int, None),
-            min_length=parse("min_length", int, defaults.min_length),
-            min_states=parse("min_states", int, defaults.min_states),
-            dk_dim=parse("dk_dim", int, defaults.dk_dim),
-            dk_epochs=parse("dk_epochs", int, defaults.dk_epochs),
-            dk_alpha=parse("dk_alpha", float, defaults.dk_alpha),
-            dk_margin=parse("dk_margin", float, defaults.dk_margin),
-            dk_negatives=parse("dk_negatives", int, defaults.dk_negatives),
-            seed=parse("seed", int, defaults.seed),
-            rmse_against=raw.get("rmse_against", defaults.rmse_against) or defaults.rmse_against,
-            volatility_n=raw.get("volatility_n", defaults.volatility_n) or defaults.volatility_n,
-            output_dir=raw.get("output_dir", defaults.output_dir) or defaults.output_dir,
-            workers=parse("workers", int, defaults.workers),
-            metadata=raw.get("metadata") or None,
-        )
-        return cfg
+
+def _format_value(hint, value) -> str:
+    return f"{value:g}" if hint is float else str(value)
+
+
+def _parse_value(hint, text: str):
+    """Cast one config value to its field type; an ``int | str`` column given as digits is an index."""
+    kinds = get_args(hint) or (hint,)
+    if str in kinds:
+        return int(text) if int in kinds and text.isdigit() else text
+    return kinds[0](text)
 
 
 @dataclass(frozen=True)
@@ -285,8 +242,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+def write_csv(target, header: list[str], rows: list[list]) -> None:
+    """Write UTF-8 CSV with ``\\n`` line ends to a path or an open text stream."""
+    with nullcontext(target) if hasattr(target, "write") else open(target, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(_fmt(v) for v in row) + "\n")

@@ -33,10 +33,6 @@ class PredictionTrace:
     def __len__(self) -> int:
         return len(self.predicted)
 
-    @property
-    def predictions(self) -> list[tuple[int, int]]:
-        return list(zip(self.predicted.tolist(), self.actual.tolist()))
-
 
 def _argbest(items):
     """Key with the highest count; ties go to the smallest key."""

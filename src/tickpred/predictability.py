@@ -13,17 +13,6 @@ the larger one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-_clamp_count = 0
-
-
-@dataclass(frozen=True)
-class PredictabilityReport:
-    stock_code: str
-    s_est: float
-    n_states: int
-    pi_max: float
 
 
 def binary_entropy(p: float) -> float:
@@ -44,21 +33,15 @@ def fano_solve(s_bits: float, n_states: int) -> float:
     """Solve the bound relation for the accuracy upper bound.
 
     Out-of-range entropies are clamped rather than rejected: estimator noise
-    can push S slightly past log2(N). Clamps are tallied in ``clamp_count``.
+    can push S slightly past log2(N).
     """
-    global _clamp_count
     if n_states < 1:
         raise ValueError(f"state count must be >= 1, got {n_states}")
     if n_states == 1:
         return 1.0
     if s_bits <= 0.0:
-        if s_bits < 0.0:
-            _clamp_count += 1
         return 1.0
-    s_max = math.log2(n_states)
-    if s_bits >= s_max:
-        if s_bits > s_max:
-            _clamp_count += 1
+    if s_bits >= math.log2(n_states):
         return 1.0 / n_states
     lo = 1.0 / n_states  # objective = log2(N) here
     hi = 1.0  # objective = 0 here
@@ -70,12 +53,3 @@ def fano_solve(s_bits: float, n_states: int) -> float:
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def clamp_count() -> int:
-    """Number of out-of-range entropies clamped since the last reset."""
-    return _clamp_count
-
-
-def reset_clamp_count() -> None:
-    global _clamp_count
-    _clamp_count = 0

@@ -48,38 +48,16 @@ class QuantizationScheme:
     def origin_cny(self) -> float:
         return self.origin_hundredths / 100.0
 
-    @property
-    def label(self) -> str:
-        if self.mode == FIXED_INTERVAL:
-            return f"T={self.t_hundredths / 100:.2f}"
-        return f"SP={self.sp}"
-
-    def state_of(self, price_hundredths: int) -> int:
-        """State id of one price given in integer hundredths."""
-        if self.mode == FIXED_INTERVAL:
-            return int(price_hundredths) // self.t_hundredths
-        shifted = int(price_hundredths) - self.origin_hundredths
-        if shifted < 0:
-            return 0
-        return (shifted * self.sp) // self.span_hundredths
-
     def states_of(self, prices_hundredths: np.ndarray) -> np.ndarray:
-        """Vectorised ``state_of`` over an int64 price array."""
+        """State ids of prices given in integer hundredths; below the origin clamps to 0."""
         p = np.asarray(prices_hundredths, dtype=np.int64)
         if self.mode == FIXED_INTERVAL:
             return p // self.t_hundredths
         shifted = np.maximum(p - self.origin_hundredths, 0)
         return (shifted * self.sp) // self.span_hundredths
 
-    def price_of(self, state: int) -> float:
-        """Representative price of a state: the bucket midpoint, in CNY."""
-        if state < 0:
-            raise ValueError("state ids are non-negative")
-        if self.mode == FIXED_INTERVAL:
-            return (state + 0.5) * self.t_hundredths / 100.0
-        return self.origin_hundredths / 100.0 + (state + 0.5) * self.span_hundredths / (100.0 * self.sp)
-
     def prices_of(self, states: np.ndarray) -> np.ndarray:
+        """Representative price of each state: the bucket midpoint, in CNY."""
         s = np.asarray(states, dtype=np.float64)
         if np.any(s < 0):
             raise ValueError("state ids are non-negative")
@@ -172,8 +150,3 @@ def quantize_fixed_count(series, sp: int, train_end: int) -> QuantizedSequence:
         raise ValueError("train_end must be >= 2")
     scheme = fixed_count_scheme(prices[:train_end], sp)
     return quantize_with(prices, scheme)
-
-
-def dequantize(state: int, scheme: QuantizationScheme) -> float:
-    """Representative price (bucket midpoint) of a state, in CNY."""
-    return scheme.price_of(state)

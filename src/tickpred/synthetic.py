@@ -152,8 +152,7 @@ def markov2_entropy_rate(tensor: np.ndarray) -> float:
             break
         pi = nxt
     pi = pi / pi.sum()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(tensor > 0, np.log2(tensor, where=tensor > 0), 0.0)
+    logs = np.log2(tensor, out=np.zeros_like(tensor), where=tensor > 0)
     cond_entropy = -(tensor * logs).sum(axis=2).reshape(n * n)
     return float(pi @ cond_entropy)
 

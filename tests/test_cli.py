@@ -72,6 +72,19 @@ def test_entropy_nats_flag(workspace, capsys):
     assert out[0].startswith("stock_code,n,n_distinct,s_est,s_est_nats")
 
 
+def test_stdout_matches_file_output(workspace, capsys):
+    assert main(["ingest", "--input", "ticks.csv", "--out", "series", "--report", "ingest.csv"]) == 0
+    capsys.readouterr()
+    assert main(["ingest", "--input", "ticks.csv", "--out", "series"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == Path("ingest.csv").read_bytes()
+
+    assert main(["quantize", "--input", "series/000001.csv", "--interval", "0.01", "--out", "s.csv"]) == 0
+    assert main(["entropy", "--input", "s.csv", "--nats", "--out", "entropy.csv"]) == 0
+    capsys.readouterr()
+    assert main(["entropy", "--input", "s.csv", "--nats"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == Path("entropy.csv").read_bytes()
+
+
 def test_run_all_and_feature_chain(workspace):
     Path("run.cfg").write_text(
         "input = ticks.csv\nintervals = 0.01, 0.05\nmin_length = 100\nmin_states = 5\n"
@@ -100,11 +113,26 @@ def test_run_all_and_feature_chain(workspace):
 
 def test_print_config_lists_defaults(workspace, capsys):
     assert main(["run-all", "--print-config"]) == 0
-    text = capsys.readouterr().out
-    assert "intervals = 0.01, 0.05" in text
-    assert "min_length = 1000" in text
-    assert "dk_dim = 16" in text
-    assert "rmse_against = raw" in text
+    assert capsys.readouterr().out == (
+        "input = \n"
+        "code_column = 1\n"
+        "time_column = 2\n"
+        "price_column = 3\n"
+        "intervals = 0.01, 0.05\n"
+        "state_count = \n"
+        "min_length = 1000\n"
+        "min_states = 10\n"
+        "dk_dim = 16\n"
+        "dk_epochs = 20\n"
+        "dk_alpha = 0.1\n"
+        "dk_margin = 1\n"
+        "dk_negatives = 5\n"
+        "seed = 0\n"
+        "rmse_against = raw\n"
+        "volatility_n = returns\n"
+        "output_dir = out\n"
+        "workers = 1\n"
+    )
 
 
 def test_exit_codes(workspace):

@@ -1,5 +1,9 @@
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tickpred.errors import EmptyInputError, SchemaError
 from tickpred.ingest import (
@@ -54,11 +58,11 @@ def test_missing_mapped_column_is_schema_error():
 
 
 def test_named_columns_and_tab_delimiter():
-    schema = ColumnSchema(code="code", time="stamp", price="last", extra={"turnover": "turn"})
-    text = "code\tstamp\tlast\tturn\nA\t2021-01-04 09:30:03\t5.20\t123.5\n"
-    records, _ = parse_ticks(text, schema)
+    schema = ColumnSchema(code="code", time="stamp", price="last")
+    text = "code\tturn\tstamp\tlast\nA\t123.5\t2021-01-04 09:30:03\t5.20\n"
+    records, malformed = parse_ticks(text, schema)
     assert records[0].price_hundredths == 520
-    assert records[0].extra == {"turnover": 123.5}
+    assert malformed == 0
 
 
 def test_parse_accepts_bytes_and_streams():
@@ -166,6 +170,34 @@ def test_interchange_round_trip(tmp_path):
     assert loaded.epoch_seconds.tolist() == series.epoch_seconds.tolist()
     assert loaded.prices_hundredths.tolist() == series.prices_hundredths.tolist()
     assert loaded.day_boundaries == series.day_boundaries
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    offset_minutes=st.integers(-12 * 60, 14 * 60),
+    session_start=st.integers(0, 86399),
+    ticks_per_day=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    spacing=st.integers(1, 7200),
+)
+def test_interchange_round_trip_keeps_day_boundaries(
+    tmp_path_factory, offset_minutes, session_start, ticks_per_day, spacing
+):
+    # a day is one exchange-local date, whatever the UTC offset and session start
+    tz = timezone(timedelta(minutes=offset_minutes))
+    stamps = [
+        datetime(2021, 1, 4, tzinfo=tz) + timedelta(days=day, seconds=session_start + i * spacing)
+        for day, k in enumerate(ticks_per_day)
+        for i in range(k)
+    ]
+    text = "code,time,price\n" + "".join(f"A,{ts.isoformat()},1.00\n" for ts in stamps)
+    series = build_series(parse_ticks(text, SCHEMA)[0])["A"]
+    local_dates = [ts.date() for ts in stamps]
+    assert series.day_boundaries == [0] + [
+        i for i in range(1, len(stamps)) if local_dates[i] != local_dates[i - 1]
+    ]
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    series.to_interchange(path)
+    assert PriceSeries.from_interchange(path).day_boundaries == series.day_boundaries
 
 
 def _series(prices_hundredths):

@@ -32,9 +32,13 @@ def _config(fixture_csv, tmp_path, out="out", **overrides):
 
 
 def test_config_round_trip_through_text():
-    cfg = PipelineConfig(inputs=("a.csv", "b.csv"), intervals=(0.01,), state_count=100, seed=3)
-    again = PipelineConfig.from_text(cfg.to_text())
-    assert again == cfg
+    configs = [
+        PipelineConfig(inputs=("a.csv", "b.csv"), intervals=(0.01,), state_count=100, seed=3),
+        # count-only: the empty intervals line must come back as (), not the default
+        PipelineConfig(inputs=("x.csv",), intervals=(), state_count=20, price_column="last_price"),
+    ]
+    for cfg in configs:
+        assert PipelineConfig.from_text(cfg.to_text()) == cfg
 
 
 def test_config_parses_comments_and_blank_lines():

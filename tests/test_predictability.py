@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tickpred.predictability import (
-    binary_entropy,
-    clamp_count,
-    fano_objective,
-    fano_solve,
-    reset_clamp_count,
-)
+from tickpred.predictability import binary_entropy, fano_objective, fano_solve
 
 
 def test_zero_entropy_gives_certainty():
@@ -33,12 +27,9 @@ def test_zero_states_rejected():
         fano_solve(1.0, 0)
 
 
-def test_out_of_range_entropy_clamps_and_counts():
-    reset_clamp_count()
+def test_out_of_range_entropy_clamps():
     assert fano_solve(10.0, 4) == pytest.approx(0.25)
     assert fano_solve(-0.5, 4) == 1.0
-    assert clamp_count() == 2
-    reset_clamp_count()
 
 
 def test_objective_endpoints():

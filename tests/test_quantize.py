@@ -3,7 +3,6 @@ import pytest
 
 from tickpred.quantize import (
     QuantizationScheme,
-    dequantize,
     fixed_count_scheme,
     fixed_interval_scheme,
     quantize_fixed,
@@ -13,8 +12,8 @@ from tickpred.quantize import (
 
 
 def test_fixed_interval_is_floor_division():
-    assert fixed_interval_scheme(0.01).state_of(1023) == 1023
-    assert fixed_interval_scheme(0.05).state_of(1023) == 204  # floor(204.6)
+    assert fixed_interval_scheme(0.01).states_of([1023]).tolist() == [1023]
+    assert fixed_interval_scheme(0.05).states_of([1023]).tolist() == [204]  # floor(204.6)
 
 
 def test_constant_series_has_one_state():
@@ -43,7 +42,7 @@ def test_fixed_count_edges_and_extension():
 
 def test_fixed_count_clamps_below_origin():
     scheme = fixed_count_scheme([1000, 1500], 100)
-    assert scheme.state_of(900) == 0
+    assert scheme.states_of([900]).tolist() == [0]
 
 
 def test_fixed_count_degenerate_range_rejected():
@@ -56,10 +55,10 @@ def test_fixed_count_degenerate_range_rejected():
 
 
 def test_dequantize_midpoints():
-    assert dequantize(204, fixed_interval_scheme(0.05)) == pytest.approx(10.225)
-    assert dequantize(1023, fixed_interval_scheme(0.01)) == pytest.approx(10.235)
+    assert fixed_interval_scheme(0.05).prices_of([204]).tolist() == pytest.approx([10.225])
+    assert fixed_interval_scheme(0.01).prices_of([1023]).tolist() == pytest.approx([10.235])
     scheme = fixed_count_scheme([1000, 1500], 100)
-    assert scheme.price_of(0) == pytest.approx(10.025)
+    assert scheme.prices_of([0]).tolist() == pytest.approx([10.025])
 
 
 def test_round_trip_error_within_half_interval():
