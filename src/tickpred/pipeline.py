@@ -11,6 +11,7 @@ byte-identical for identical config and seed.
 
 from __future__ import annotations
 
+import csv
 import glob
 import hashlib
 import json
@@ -243,11 +244,14 @@ def _fmt(x) -> str:
 
 
 def write_csv(target, header: list[str], rows: list[list]) -> None:
-    """Write UTF-8 CSV with ``\\n`` line ends to a path or an open text stream."""
+    """Write UTF-8 CSV with ``\\n`` line ends to a path or an open text stream.
+
+    Fields are quoted only when they hold a delimiter, quote or line end.
+    """
     with nullcontext(target) if hasattr(target, "write") else open(target, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def write_json_mirror(path, header: list[str], rows: list[list]) -> None:

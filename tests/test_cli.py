@@ -85,6 +85,16 @@ def test_stdout_matches_file_output(workspace, capsys):
     assert capsys.readouterr().out.encode("utf-8") == Path("entropy.csv").read_bytes()
 
 
+def test_comma_in_stock_code_round_trips(workspace):
+    Path("a,b.csv").write_text("state\n" + "\n".join(["1", "2", "3", "2"] * 10) + "\n")
+    assert main(["entropy", "--input", "a,b.csv", "--out", "entropy.csv"]) == 0
+    assert Path("entropy.csv").read_text().splitlines()[1].startswith('"a,b",40,3,')
+    assert main(["predictability", "--entropy-file", "entropy.csv", "--out", "pred.csv"]) == 0
+    pred = _read_rows("pred.csv")
+    assert [r["stock_code"] for r in pred] == ["a,b"]
+    assert 0.0 < float(pred[0]["pi_max"]) <= 1.0
+
+
 def test_run_all_and_feature_chain(workspace):
     Path("run.cfg").write_text(
         "input = ticks.csv\nintervals = 0.01, 0.05\nmin_length = 100\nmin_states = 5\n"

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tickpred import predict
 from tickpred.entropy import estimate_entropy
 from tickpred.evaluate import accuracy
 from tickpred.predict import DiffusionKernelModel, MarkovChainModel, run_protocol
@@ -136,6 +141,8 @@ def test_dk_repeated_updates_shrink_positive_distance():
     model.set_state_embedding(1, [1.0, 0.0, 0.0, 0.0])
     model.set_state_embedding(2, [0.0, 1.0, 0.0, 0.0])
     model.set_state_embedding(3, [0.0, 0.0, 1.0, 1.0])
+    # at the origin the negatives are nearer than the positive: the gate fires
+    model.set_context_embedding((1, 2), [0.0, 0.0, 0.0, 0.0])
     distances = []
     for _ in range(50):
         model.update((1, 2), 3)
@@ -143,6 +150,80 @@ def test_dk_repeated_updates_shrink_positive_distance():
         distances.append(float(gap @ gap))
     assert all(a >= b - 1e-9 for a, b in zip(distances, distances[1:]))
     assert distances[-1] < distances[0]
+
+
+def test_dk_gate_counters():
+    model = _two_state_model(alpha0=1.0)
+    model.negatives_per_step = 3
+    # steps against state 2: gaps 0 and 0.8 fire, then 1.792 >= margin does not
+    model.update((7, 8), 1)
+    assert (model.gate_checks, model.gate_fires) == (3, 2)
+    assert model.state_embedding(1) == pytest.approx([0.36, 0.0])
+    assert model.state_embedding(2) == pytest.approx([-0.44, 0.0])
+    assert model.context_embedding((7, 8)) == pytest.approx([1.08, 0.0])
+    model.update((7, 8), 1)
+    assert (model.gate_checks, model.gate_fires) == (6, 2)
+    # a gap equal to the margin holds
+    edge = _two_state_model(alpha0=1.0, margin=0.0)
+    edge.update((7, 8), 1)
+    assert (edge.gate_checks, edge.gate_fires) == (1, 0)
+    # one state: nothing to draw, nothing checked
+    lone = DiffusionKernelModel(dim=2, seed=0)
+    lone.update((1, 1), 1)
+    assert (lone.gate_checks, lone.gate_fires) == (0, 0)
+
+
+@pytest.mark.parametrize("positive", [10, 11, 13])
+def test_dk_negatives_skip_positive_and_reach_every_other_state(positive):
+    # margin 0 and rate 0: a step fires exactly when its negative sits nearer the
+    # context than the positive does, and nothing moves, so fires count draws
+    ids = [10, 11, 12, 13]
+    draws = 200
+    fires = {}
+    for near in ids:
+        if near == positive:
+            continue
+        model = DiffusionKernelModel(dim=2, alpha0=0.0, margin=0.0, negatives_per_step=draws, seed=4)
+        for s in ids:
+            model.set_state_embedding(s, [1.0 if s == positive else 0.5 if s == near else 2.0, 0.0])
+        model.set_context_embedding((10, 11), [0.0, 0.0])
+        model.update((10, 11), positive)
+        assert model.gate_checks == draws
+        fires[near] = model.gate_fires
+    # same seed, same stream: the draws split among the other states alone
+    assert sum(fires.values()) == draws
+    assert all(n > 0 for n in fires.values())
+
+
+def _dk_run(seq, split, params, seed):
+    """Train on seq[:split], then predict and update online; the trace and every embedding."""
+    model = DiffusionKernelModel(seed=seed, **params).train(seq[:split])
+    predicted = []
+    for t in range(split, len(seq)):
+        predicted.append(model.predict((seq[t - 2], seq[t - 1])))
+        model.update((seq[t - 2], seq[t - 1]), seq[t])
+    states = {s: model.state_embedding(s).tobytes() for s in model.state_rows}
+    contexts = {c: model.context_embedding(c).tobytes() for c in model.context_rows}
+    trace = run_protocol(seq, [0, split], "dk", seed=seed, dk_params=params).predicted
+    return predicted, states, contexts, trace.tobytes(), (model.gate_checks, model.gate_fires)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seq=st.lists(st.integers(0, 3), min_size=4, max_size=120),
+    split=st.integers(3, 120),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 20),
+    negatives=st.integers(0, 6),
+    margin=st.sampled_from([0.25, 1.0, 4.0]),
+)
+def test_dk_windowed_gate_matches_one_step_at_a_time(seq, split, seed, dim, negatives, margin):
+    split = min(split, len(seq))
+    params = dict(dim=dim, epochs=2, alpha0=0.3, margin=margin, negatives_per_step=negatives)
+    windowed = _dk_run(seq, split, params, seed)
+    with mock.patch.object(predict, "GATE_WINDOW", 1):
+        reference = _dk_run(seq, split, params, seed)
+    assert windowed == reference
 
 
 def test_dk_predict_single_state_model():
@@ -207,6 +288,8 @@ def test_dk_parameter_validation():
         DiffusionKernelModel(epochs=0)
     with pytest.raises(ValueError, match="rate"):
         DiffusionKernelModel(alpha0=-0.1)
+    with pytest.raises(ValueError, match="negatives"):
+        DiffusionKernelModel(negatives_per_step=-1)
 
 
 # -- protocol ---------------------------------------------------------------
