@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .entropy import EntropyEstimate, estimate_entropy, match_lengths, match_lengths_fast
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .evaluate import EvaluationReport, accuracy, evaluate_trace, rmse, rmse_ratio
-from .ingest import ColumnSchema, FilterDecision, PriceSeries, TickRecord, build_series, filter_series, parse_ticks
+from .ingest import ColumnSchema, FilterDecision, PriceSeries, build_series, filter_series, parse_ticks
 from .predict import DiffusionKernelModel, MarkovChainModel, PredictionTrace, run_protocol
 from .predictability import fano_solve
 from .quantize import (
@@ -41,7 +41,6 @@ __all__ = [
     "QuantizedSequence",
     "SchemaError",
     "StockFeatures",
-    "TickRecord",
     "accuracy",
     "anova_oneway",
     "bin_feature",

@@ -9,7 +9,6 @@ subcommands mirror to JSON with --json.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -19,8 +18,15 @@ import numpy as np
 from .entropy import estimate_entropy
 from .errors import ConfigError, DataError
 from .evaluate import evaluate_trace
-from .features import FEATURE_HEADER, build_feature_table, correlate_features, load_metadata, load_per_stock_dir
-from .ingest import ColumnSchema, PriceSeries, build_series, filter_series, parse_ticks
+from .features import (
+    FEATURE_HEADER,
+    build_feature_table,
+    correlate_features,
+    load_metadata,
+    load_per_stock_dir,
+    read_csv_dicts,
+)
+from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceSeries, filter_series, load_series
 from .pipeline import PipelineConfig, run_all, write_csv, write_json_mirror
 from .predict import PredictionTrace, run_protocol
 from .predictability import fano_solve
@@ -48,13 +54,7 @@ def _read_states(path) -> np.ndarray:
 
 def cmd_ingest(args) -> int:
     schema = ColumnSchema(code=args.code_column, time=args.time_column, price=args.price_column)
-    records = []
-    malformed = 0
-    for path in args.input:
-        recs, bad = parse_ticks(path, schema)
-        records.extend(recs)
-        malformed += bad
-    series_map = build_series(records)
+    series_map, malformed = load_series(args.input, schema)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -108,8 +108,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_predictability(args) -> int:
-    with open(args.entropy_file, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.DictReader(f))
+    rows = read_csv_dicts(args.entropy_file, required=("n_distinct", "s_est"))
     if not rows:
         raise DataError(f"{args.entropy_file}: no rows")
     header = list(rows[0].keys()) + ["pi_max"]
@@ -125,19 +124,19 @@ def cmd_predict(args) -> int:
     states = _read_states(args.input)
     if args.train_end < 3:
         raise ConfigError("--train-end must be >= 3")
-    dk_params = {
-        "dim": args.dim,
-        "epochs": args.epochs,
-        "alpha0": args.alpha,
-        "margin": args.margin,
-        "negatives_per_step": args.negatives,
-    }
+    dk = PipelineConfig(
+        dk_dim=args.dim,
+        dk_epochs=args.epochs,
+        dk_alpha=args.alpha,
+        dk_margin=args.margin,
+        dk_negatives=args.negatives,
+    )
     trace = run_protocol(
         states,
         [0, args.train_end],
         args.model,
         seed=args.seed,
-        dk_params=dk_params if args.model == "dk" else None,
+        dk_params=dk.dk_params() if args.model == "dk" else None,
         stock_code=Path(args.input).stem,
     )
     rows = [
@@ -149,8 +148,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.trace, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.DictReader(f))
+    rows = read_csv_dicts(args.trace, required=("index", "predicted", "actual"))
     if not rows:
         raise DataError(f"{args.trace}: empty trace")
     predicted = np.asarray([int(r["predicted"]) for r in rows], dtype=np.int64)
@@ -200,8 +198,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    with open(args.features, "r", encoding="utf-8", newline="") as f:
-        rows = list(csv.DictReader(f))
+    rows = read_csv_dicts(args.features, required=(args.target,))
     result = correlate_features(rows, target=args.target)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,17 +240,18 @@ def cmd_run_all(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tickpred", description=__doc__)
+    defaults = PipelineConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse tick files into per-stock interchange series")
-    p.add_argument("--input", nargs="+", required=True)
+    p.add_argument("--input", nargs="+", required=True, help="tick files or glob patterns")
     p.add_argument("--code-column", type=_column, default=1)
     p.add_argument("--time-column", type=_column, default=2)
     p.add_argument("--price-column", type=_column, default=3)
     p.add_argument("--out", required=True, help="directory for per-stock series files")
     p.add_argument("--filter-interval", type=float, default=None, help="apply the keep/drop filter at this interval")
-    p.add_argument("--min-length", type=int, default=1000)
-    p.add_argument("--min-states", type=int, default=10)
+    p.add_argument("--min-length", type=int, default=DEFAULT_MIN_LENGTH)
+    p.add_argument("--min-states", type=int, default=DEFAULT_MIN_STATES)
     p.add_argument("--report", default=None, help="write the per-stock report CSV here instead of stdout")
     p.set_defaults(func=cmd_ingest)
 
@@ -283,11 +281,11 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--train-end", type=int, required=True, help="index where testing starts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--negatives", type=int, default=5)
+    p.add_argument("--dim", type=int, default=defaults.dk_dim)
+    p.add_argument("--epochs", type=int, default=defaults.dk_epochs)
+    p.add_argument("--alpha", type=float, default=defaults.dk_alpha)
+    p.add_argument("--margin", type=float, default=defaults.dk_margin)
+    p.add_argument("--negatives", type=int, default=defaults.dk_negatives)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 

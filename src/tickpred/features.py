@@ -36,22 +36,30 @@ QUANTITATIVE = ("avgprice", "volatility", "life", "scale")
 CATEGORICAL = ("category", "region")
 
 
-def read_csv_dicts(path) -> list[dict[str, str]]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        return list(csv.DictReader(f))
+def read_csv_dicts(path, required: tuple[str, ...] = ()) -> list[dict[str, str]]:
+    """Rows of a UTF-8 CSV file with a header row, as dicts keyed by column name.
+
+    Raises DataError naming the file when it cannot be read or lacks a
+    ``required`` column.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            reader = csv.DictReader(f)
+            missing = [c for c in required if c not in (reader.fieldnames or [])]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing}")
+            return list(reader)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def load_metadata(path) -> dict[str, dict[str, float]]:
     """Side CSV with stock_code,life,scale,category,region columns."""
     from .stats import N_CATEGORIES, N_REGIONS
 
-    rows = read_csv_dicts(path)
+    rows = read_csv_dicts(path, required=("stock_code", "life", "scale", "category", "region"))
     if not rows:
         raise DataError(f"{path}: empty metadata file")
-    needed = {"stock_code", "life", "scale", "category", "region"}
-    missing = needed - set(rows[0])
-    if missing:
-        raise DataError(f"{path}: metadata is missing columns {sorted(missing)}")
     out = {}
     for row in rows:
         category = int(row["category"])

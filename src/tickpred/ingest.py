@@ -1,46 +1,39 @@
 """Parse tick files into per-stock price series and filter out unusable ones.
 
-Prices are held as integer hundredths of CNY (the feed's precision is 0.01),
+A parsed tick is a plain ``(stock_code, epoch_seconds, price_hundredths)``
+row. Prices are integer hundredths of CNY (the feed's precision is 0.01),
 so downstream binning and round trips stay exact. Times are exchange-local
-wall-clock seconds (a timestamp's UTC offset is dropped), and a trading day
-is a run of ticks with one exchange-local calendar date: one value of
-``epoch_seconds // 86400``, at ingest and after an interchange round trip.
-Days are concatenated with no gap markers: one stock is one continuous
-sequence across its whole sample.
+wall-clock seconds (a timestamp's UTC offset is dropped), worked out as each
+row is parsed. Each stock's ticks are ordered by that local clock, and a
+trading day is a run of ticks with one exchange-local calendar date: one
+value of ``epoch_seconds // 86400``, at ingest and after an interchange
+round trip. Days are concatenated with no gap markers: one stock is one
+continuous sequence across its whole sample.
 """
 
 from __future__ import annotations
 
 import csv
+import glob
 import io
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, SchemaError
+from .errors import DataError, EmptyInputError, SchemaError
 from .quantize import QuantizationScheme
 
 DEFAULT_MIN_LENGTH = 1000  # ticks; roughly a quarter trading day
 DEFAULT_MIN_STATES = 10
 
 _PRICE_RE = re.compile(r"^(\d+)(?:\.(\d{1,2}))?$")
+_EPOCH_ORDINAL = datetime(1970, 1, 1).toordinal()
 
-
-@dataclass(frozen=True)
-class TickRecord:
-    """One exchange snapshot."""
-
-    stock_code: str
-    timestamp: datetime
-    price_hundredths: int
-
-    @property
-    def last_price(self) -> float:
-        return self.price_hundredths / 100.0
+Row = tuple[str, int, int]  # (stock_code, epoch_seconds, price_hundredths)
 
 
 @dataclass(frozen=True)
@@ -147,16 +140,17 @@ def parse_price_hundredths(text: str) -> int:
     return value
 
 
-def _parse_timestamp(text: str) -> datetime:
+def _epoch_seconds(text: str) -> int:
+    """Exchange-local wall-clock seconds of an ISO timestamp, the clock read as UTC.
+
+    Only the local date and clock fields are read: a UTC offset is dropped,
+    and so is a fraction of a second.
+    """
     try:
-        return datetime.fromisoformat(text.strip())
+        ts = datetime.fromisoformat(text.strip())
     except ValueError as exc:
         raise ValueError(f"unparseable timestamp {text!r}") from exc
-
-
-def _epoch_seconds(ts: datetime) -> int:
-    """Exchange-local wall-clock seconds: the UTC offset is dropped, the clock read as UTC."""
-    return int(ts.replace(tzinfo=timezone.utc).timestamp())
+    return (ts.toordinal() - _EPOCH_ORDINAL) * 86400 + ts.hour * 3600 + ts.minute * 60 + ts.second
 
 
 def _boundaries_from_epochs(epoch: np.ndarray) -> list[int]:
@@ -169,12 +163,12 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
-def parse_ticks(source, schema: ColumnSchema) -> tuple[list[TickRecord], int]:
-    """Parse delimiter-separated tick text into records.
+def parse_ticks(source, schema: ColumnSchema) -> tuple[list[Row], int]:
+    """Parse delimiter-separated tick text into ``(stock_code, epoch_seconds, price_hundredths)`` rows.
 
     ``source`` is a path, byte string, text string or open text stream with a
     header row. Malformed rows are counted and skipped; the count is returned
-    alongside the records. Raises SchemaError when a mapped column is missing
+    alongside the rows. Raises SchemaError when a mapped column is missing
     and EmptyInputError when nothing parses.
     """
     if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).is_file()):
@@ -187,7 +181,7 @@ def parse_ticks(source, schema: ColumnSchema) -> tuple[list[TickRecord], int]:
     return _parse_stream(source, schema, getattr(source, "name", "<stream>"))
 
 
-def _parse_stream(f, schema: ColumnSchema, origin: str) -> tuple[list[TickRecord], int]:
+def _parse_stream(f, schema: ColumnSchema, origin: str) -> tuple[list[Row], int]:
     header_line = f.readline()
     if not header_line.strip():
         raise EmptyInputError(f"{origin}: empty input")
@@ -196,7 +190,7 @@ def _parse_stream(f, schema: ColumnSchema, origin: str) -> tuple[list[TickRecord
     code_i, time_i, price_i = schema.resolve(header)
     needed = max(code_i, time_i, price_i) + 1
 
-    records: list[TickRecord] = []
+    rows: list[Row] = []
     malformed = 0
     for row in csv.reader(f, delimiter=delimiter):
         if not row or all(not c.strip() for c in row):
@@ -208,33 +202,49 @@ def _parse_stream(f, schema: ColumnSchema, origin: str) -> tuple[list[TickRecord
             code = row[code_i].strip()
             if not code:
                 raise ValueError("empty stock code")
-            ts = _parse_timestamp(row[time_i])
+            epoch = _epoch_seconds(row[time_i])
             price = parse_price_hundredths(row[price_i])
         except ValueError:
             malformed += 1
             continue
-        records.append(TickRecord(stock_code=code, timestamp=ts, price_hundredths=price))
-    if not records:
+        rows.append((code, epoch, price))
+    if not rows:
         raise EmptyInputError(f"{origin}: no parseable rows ({malformed} malformed)")
-    return records, malformed
+    return rows, malformed
 
 
-def build_series(records: Iterable[TickRecord]) -> dict[str, PriceSeries]:
-    """Group records per stock, sort by time (stable, so duplicates keep input order)."""
-    grouped: dict[str, list[TickRecord]] = {}
-    for rec in records:
-        grouped.setdefault(rec.stock_code, []).append(rec)
-    out: dict[str, PriceSeries] = {}
-    for code, recs in grouped.items():
-        recs.sort(key=lambda r: r.timestamp)  # stable
-        epoch = np.asarray([_epoch_seconds(r.timestamp) for r in recs], dtype=np.int64)
-        out[code] = PriceSeries(
-            stock_code=code,
-            epoch_seconds=epoch,
-            prices_hundredths=np.asarray([r.price_hundredths for r in recs], dtype=np.int64),
-            day_boundaries=_boundaries_from_epochs(epoch),
-        )
-    return out
+def build_series(rows: Sequence[Row]) -> dict[str, PriceSeries]:
+    """Per-stock series in code order, each sorted by local time; ties keep input order."""
+    codes = sorted({code for code, _, _ in rows})
+    index = {code: i for i, code in enumerate(codes)}
+    code_index = np.fromiter((index[code] for code, _, _ in rows), np.int64, len(rows))
+    epoch = np.fromiter((t for _, t, _ in rows), np.int64, len(rows))
+    price = np.fromiter((p for _, _, p in rows), np.int64, len(rows))
+    order = np.lexsort((epoch, code_index))  # stable: duplicate timestamps keep input order
+    starts = np.flatnonzero(np.diff(code_index[order])) + 1
+    return {
+        code: PriceSeries(code, e, p, _boundaries_from_epochs(e))
+        for code, e, p in zip(codes, np.split(epoch[order], starts), np.split(price[order], starts))
+    }
+
+
+def load_series(patterns: Iterable[str], schema: ColumnSchema) -> tuple[dict[str, PriceSeries], int]:
+    """Parse every tick file the glob patterns name into per-stock series.
+
+    A pattern that matches nothing is taken as a plain path. Returns the
+    series and the number of malformed rows skipped; raises DataError for a
+    missing file.
+    """
+    rows: list[Row] = []
+    malformed = 0
+    for pattern in patterns:
+        for path in sorted(glob.glob(pattern)) or [pattern]:
+            if not Path(path).is_file():
+                raise DataError(f"input file not found: {path}")
+            file_rows, bad = parse_ticks(Path(path), schema)
+            rows.extend(file_rows)
+            malformed += bad
+    return build_series(rows), malformed
 
 
 def filter_series(

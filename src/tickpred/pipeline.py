@@ -12,7 +12,6 @@ byte-identical for identical config and seed.
 from __future__ import annotations
 
 import csv
-import glob
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -25,18 +24,10 @@ import numpy as np
 
 from . import __version__
 from .entropy import estimate_entropy
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .evaluate import evaluate_trace
-from .ingest import (
-    DEFAULT_MIN_LENGTH,
-    DEFAULT_MIN_STATES,
-    ColumnSchema,
-    PriceSeries,
-    build_series,
-    filter_series,
-    parse_ticks,
-)
-from .predict import run_protocol
+from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceSeries, filter_series, load_series
+from .predict import DiffusionKernelModel, run_protocol
 from .predictability import fano_solve
 from .quantize import QuantizationScheme, fixed_count_scheme, fixed_interval_scheme, quantize_with
 from .stats import volatility
@@ -116,6 +107,10 @@ class PipelineConfig:
             raise ConfigError("min_length must be >= 3")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            DiffusionKernelModel(**self.dk_params())
+        except ValueError as exc:
+            raise ConfigError(f"DK parameters: {exc}") from exc
 
     def to_text(self) -> str:
         """One ``key = value`` line per field, in field order; ``None`` is an empty value."""
@@ -318,21 +313,6 @@ def process_stock(series: PriceSeries, config: PipelineConfig) -> dict:
     return result
 
 
-def load_input_series(config: PipelineConfig) -> dict[str, PriceSeries]:
-    schema = ColumnSchema(code=config.code_column, time=config.time_column, price=config.price_column)
-    paths: list[str] = []
-    for pattern in config.inputs:
-        expanded = sorted(glob.glob(pattern))
-        paths.extend(expanded if expanded else [pattern])
-    records = []
-    for path in paths:
-        if not Path(path).is_file():
-            raise DataError(f"input file not found: {path}")
-        recs, _malformed = parse_ticks(path, schema)
-        records.extend(recs)
-    return build_series(records)
-
-
 def emit_summary(eval_rows: list[dict], pred_rows: list[dict]) -> list[dict]:
     """Arithmetic means per (setting, model) plus the share of low-entropy stocks."""
     if not eval_rows:
@@ -398,7 +378,8 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     for sub in ("series", "per_stock", "reports", "plots"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
-    all_series = load_input_series(config)
+    schema = ColumnSchema(code=config.code_column, time=config.time_column, price=config.price_column)
+    all_series, _malformed = load_series(config.inputs, schema)
     codes = sorted(all_series)
     manifest = RunManifest(config_hash=config.content_hash())
 

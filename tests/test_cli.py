@@ -157,6 +157,45 @@ def test_exit_codes(workspace):
     assert main(["nonsense-command"]) == 1
 
 
+@pytest.mark.parametrize("line", ["dk_dim = 1", "dk_epochs = 0", "dk_alpha = -1", "dk_negatives = -1"])
+def test_invalid_dk_config_is_config_error(workspace, capsys, line):
+    Path("dk.cfg").write_text(f"input = ticks.csv\nprice_column = last_price\noutput_dir = out\n{line}\n")
+    assert main(["run-all", "--config", "dk.cfg"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not Path("out/manifest.jsonl").exists()
+
+
+def test_ingest_expands_globs_and_reports_missing_files(workspace, capsys):
+    lines = Path("ticks.csv").read_text().splitlines(keepends=True)
+    half = len(lines) // 2
+    Path("day_a.csv").write_text("".join(lines[:half]))
+    Path("day_b.csv").write_text(lines[0] + "".join(lines[half:]))
+    assert main(["ingest", "--input", "ticks.csv", "--out", "whole", "--report", "whole.csv"]) == 0
+    assert main(["ingest", "--input", "day_*.csv", "--out", "split", "--report", "split.csv"]) == 0
+    assert Path("split.csv").read_bytes() == Path("whole.csv").read_bytes()
+    assert Path("split/000001.csv").read_bytes() == Path("whole/000001.csv").read_bytes()
+    capsys.readouterr()
+    assert main(["ingest", "--input", "missing.csv", "--out", "series"]) == 2
+    assert "input file not found: missing.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["predictability", "--entropy-file", "nope.csv"], "nope.csv"),
+        (["predictability", "--entropy-file", "no_s_est.csv"], "'s_est'"),
+        (["evaluate", "--trace", "no_predicted.csv", "--scheme", "scheme.json"], "'predicted'"),
+    ],
+    ids=["missing-file", "no-s_est-column", "no-predicted-column"],
+)
+def test_unreadable_input_csv_is_data_error(workspace, capsys, argv, needle):
+    Path("no_s_est.csv").write_text("stock_code,n,n_distinct\nA,40,3\n")
+    Path("no_predicted.csv").write_text("index,actual\n3,1\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and needle in err
+
+
 def test_partial_failure_still_writes_reports(workspace):
     Path("short.csv").write_text("code,time,price\nA,2021-01-04 09:30:00,1.00\nA,2021-01-05 09:30:00,1.01\n")
     Path("partial.cfg").write_text("input = short.csv, ticks.csv\nmin_length = 100\nmin_states = 5\noutput_dir = outp\n")

@@ -1,4 +1,4 @@
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -20,13 +20,9 @@ SCHEMA = ColumnSchema(code=1, time=2, price=3)
 
 
 def test_parse_single_row():
-    records, malformed = parse_ticks("code,time,price\n000001,2021-01-04 09:30:03,18.60\n", SCHEMA)
+    rows, malformed = parse_ticks("code,time,price\n000001,2021-01-04 09:30:03,18.60\n", SCHEMA)
     assert malformed == 0
-    rec = records[0]
-    assert rec.stock_code == "000001"
-    assert rec.timestamp.isoformat() == "2021-01-04T09:30:03"
-    assert rec.price_hundredths == 1860
-    assert rec.last_price == pytest.approx(18.60)
+    assert rows == [("000001", 1609752603, 1860)]  # 2021-01-04 09:30:03 local clock, 18.60 CNY
 
 
 def test_malformed_rows_counted_and_skipped():
@@ -60,8 +56,8 @@ def test_missing_mapped_column_is_schema_error():
 def test_named_columns_and_tab_delimiter():
     schema = ColumnSchema(code="code", time="stamp", price="last")
     text = "code\tturn\tstamp\tlast\nA\t123.5\t2021-01-04 09:30:03\t5.20\n"
-    records, malformed = parse_ticks(text, schema)
-    assert records[0].price_hundredths == 520
+    rows, malformed = parse_ticks(text, schema)
+    assert rows == [("A", 1609752603, 520)]
     assert malformed == 0
 
 
@@ -141,6 +137,67 @@ def test_duplicate_timestamps_keep_input_order():
 
 def test_build_series_empty_input_gives_empty_map():
     assert build_series([]) == {}
+
+
+def test_mixed_naive_and_aware_timestamps_order_by_local_clock():
+    text = (
+        "code,time,price\n"
+        "A,2021-01-04 09:30:03+08:00,1.01\n"
+        "A,2021-01-04 09:30:00,1.00\n"
+    )
+    series = build_series(parse_ticks(text, SCHEMA)[0])["A"]
+    assert series.epoch_seconds.tolist() == [1609752600, 1609752603]
+    assert series.prices_hundredths.tolist() == [100, 101]
+
+
+_EPOCH = datetime(1970, 1, 1)
+
+
+def _oracle_series(ticks):
+    """Dict grouping with a stable per-stock sort by local clock; keys in code order."""
+    grouped = {}
+    for code, ts, price in ticks:
+        local = ts.replace(tzinfo=None)
+        grouped.setdefault(code, []).append(((local - _EPOCH) // timedelta(seconds=1), local.date(), price))
+    out = {}
+    for code in sorted(grouped):
+        group = sorted(grouped[code], key=lambda t: t[0])
+        dates = [d for _, d, _ in group]
+        out[code] = (
+            [t for t, _, _ in group],
+            [p for _, _, p in group],
+            [0] + [i for i in range(1, len(dates)) if dates[i] != dates[i - 1]],
+        )
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ticks=st.lists(
+        st.tuples(
+            st.sampled_from(["B", "A", "600000", "000001"]),
+            st.sampled_from([date(2021, 1, 4), date(1969, 12, 30)]),
+            st.integers(0, 3),  # day
+            st.sampled_from([0, 3, 6, 3600, 86397]),  # few clocks: duplicate timestamps are common
+            st.sampled_from([0, 250000, 999999]),  # microseconds, dropped from the epoch
+            st.one_of(st.none(), st.integers(-12 * 60, 14 * 60)),  # UTC offset in minutes; None is naive
+            st.integers(1, 99999),
+        ),
+        max_size=40,
+    )
+)
+def test_build_series_matches_dict_grouping_oracle(ticks):
+    parsed = []
+    for code, first, day, second, micro, offset, price in ticks:
+        tz = None if offset is None else timezone(timedelta(minutes=offset))
+        start = datetime(first.year, first.month, first.day, tzinfo=tz)
+        parsed.append((code, start + timedelta(days=day, seconds=second, microseconds=micro), price))
+    text = "code,time,price\n" + "".join(f"{c},{ts.isoformat()},{p // 100}.{p % 100:02d}\n" for c, ts, p in parsed)
+    series = build_series(parse_ticks(text, SCHEMA)[0]) if parsed else {}
+    assert {
+        code: (s.epoch_seconds.tolist(), s.prices_hundredths.tolist(), s.day_boundaries) for code, s in series.items()
+    } == _oracle_series(parsed)
+    assert list(series) == sorted(series)
 
 
 def test_series_lengths_sum_to_record_count():
