@@ -9,7 +9,7 @@ import numpy as np
 
 from tickpred.entropy import estimate_entropy
 from tickpred.evaluate import accuracy
-from tickpred.predict import DiffusionKernelModel, MarkovChainModel, run_protocol
+from tickpred.predict import DiffusionKernelModel, run_protocol
 from tickpred.predictability import fano_solve
 from tickpred.synthetic import markov2_entropy_rate, markov2_source
 
@@ -43,11 +43,12 @@ print()
 print("=" * 72)
 print("3. What the models learned")
 print("=" * 72)
-mc = MarkovChainModel().train(seq[:TRAIN_END])
-ctx = (int(seq[0]), int(seq[1]))
-row = mc.counts2.get(ctx, {})
-print(f"markov counts for context {ctx}: {dict(sorted(row.items()))}")
-print(f"markov prediction: {mc.predict(ctx)}")
+train = seq[:TRAIN_END]
+ctx = (int(train[-2]), int(train[-1]))  # the context of the first online tick
+follows = train[2:][(train[:-2] == ctx[0]) & (train[1:-1] == ctx[1])]
+values, counts = np.unique(follows, return_counts=True)
+print(f"markov counts for context {ctx}: {dict(zip(values.tolist(), counts.tolist()))}")
+print(f"markov prediction: {run_protocol(seq, [0, TRAIN_END], 'mc').predicted[0]}")
 
 dk = DiffusionKernelModel(dim=8, seed=3).train(seq[:TRAIN_END])
 zc = dk.context_embedding(ctx)

@@ -12,7 +12,7 @@ from .entropy import EntropyEstimate, estimate_entropy, match_lengths, match_len
 from .errors import ConfigError, DataError, EmptyInputError, SchemaError
 from .evaluate import EvaluationReport, accuracy, evaluate_trace, rmse, rmse_ratio
 from .ingest import ColumnSchema, FilterDecision, PriceSeries, build_series, filter_series, parse_ticks
-from .predict import DiffusionKernelModel, MarkovChainModel, PredictionTrace, run_protocol
+from .predict import DiffusionKernelModel, PredictionTrace, run_protocol
 from .predictability import fano_solve
 from .quantize import (
     QuantizationScheme,
@@ -34,7 +34,6 @@ __all__ = [
     "EntropyEstimate",
     "EvaluationReport",
     "FilterDecision",
-    "MarkovChainModel",
     "PredictionTrace",
     "PriceSeries",
     "QuantizationScheme",

@@ -125,12 +125,14 @@ def cmd_predict(args) -> int:
     if args.train_end < 3:
         raise ConfigError("--train-end must be >= 3")
     dk = PipelineConfig(
+        inputs=(args.input,),
         dk_dim=args.dim,
         dk_epochs=args.epochs,
         dk_alpha=args.alpha,
         dk_margin=args.margin,
         dk_negatives=args.negatives,
     )
+    dk.validate()
     trace = run_protocol(
         states,
         [0, args.train_end],

@@ -166,12 +166,15 @@ def _detect_delimiter(header_line: str) -> str:
 def parse_ticks(source, schema: ColumnSchema) -> tuple[list[Row], int]:
     """Parse delimiter-separated tick text into ``(stock_code, epoch_seconds, price_hundredths)`` rows.
 
-    ``source`` is a path, byte string, text string or open text stream with a
-    header row. Malformed rows are counted and skipped; the count is returned
-    alongside the rows. Raises SchemaError when a mapped column is missing
+    ``source`` is a path (a non-empty ``str`` without a newline is one), byte
+    string, text string or open text stream with a header row. Malformed rows
+    are counted and skipped; the count is returned alongside the rows. Raises
+    DataError for a missing file, SchemaError when a mapped column is missing
     and EmptyInputError when nothing parses.
     """
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).is_file()):
+    if isinstance(source, Path) or (isinstance(source, str) and source and "\n" not in source):
+        if not Path(source).is_file():
+            raise DataError(f"input file not found: {source}")
         with open(source, "r", encoding="utf-8", newline="") as f:
             return _parse_stream(f, schema, str(source))
     if isinstance(source, bytes):
@@ -239,8 +242,6 @@ def load_series(patterns: Iterable[str], schema: ColumnSchema) -> tuple[dict[str
     malformed = 0
     for pattern in patterns:
         for path in sorted(glob.glob(pattern)) or [pattern]:
-            if not Path(path).is_file():
-                raise DataError(f"input file not found: {path}")
             file_rows, bad = parse_ticks(Path(path), schema)
             rows.extend(file_rows)
             malformed += bad

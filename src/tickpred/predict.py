@@ -1,10 +1,11 @@
 """Online next-state predictors and the train-one-day-then-update protocol.
 
-Both models condition on the previous two states. The Markov chain keeps
-transition counts with a two-stage fallback for unseen contexts. The
-diffusion-kernel model embeds states and contexts in Euclidean space and
-nudges coordinates with margin-gated steps so each context drifts toward its
-typical continuation; prediction is nearest-state lookup.
+Both models condition on the previous two states. The Markov chain predicts
+the modal continuation of the context so far, with a two-stage fallback for
+unseen contexts, for all ticks at once. The diffusion-kernel model embeds
+states and contexts in Euclidean space and nudges coordinates with
+margin-gated steps so each context drifts toward its typical continuation;
+prediction is nearest-state lookup.
 
 The protocol trains on the first trading day, then alternates predict and
 update on every later tick, so the train/test split ratio has no effect
@@ -41,51 +42,6 @@ def _argbest(items):
         if best_count is None or count > best_count or (count == best_count and key < best_key):
             best_key, best_count = key, count
     return best_key
-
-
-class MarkovChainModel:
-    """Second-order transition-count predictor.
-
-    Each observed transition increments one entry in each of three tables:
-    pair-context counts, single-state context counts, and global next-state
-    counts. Prediction is the modal continuation of the pair context, falling
-    back to the single-state context and then to the global mode, with ties
-    broken toward the smallest state id.
-    """
-
-    order = 2
-
-    def __init__(self) -> None:
-        self.counts2: dict[Context, dict[int, int]] = {}
-        self.counts1: dict[int, dict[int, int]] = {}
-        self.global_counts: dict[int, int] = {}
-
-    def train(self, states) -> "MarkovChainModel":
-        seq = np.asarray(getattr(states, "states", states), dtype=np.int64).tolist()
-        if len(seq) < 3:
-            raise ValueError(f"need at least 3 states to train, got {len(seq)}")
-        for t in range(2, len(seq)):
-            self.update((seq[t - 2], seq[t - 1]), seq[t])
-        return self
-
-    def update(self, context: Context, actual: int) -> None:
-        actual = int(actual)
-        row2 = self.counts2.setdefault((int(context[0]), int(context[1])), {})
-        row2[actual] = row2.get(actual, 0) + 1
-        row1 = self.counts1.setdefault(int(context[1]), {})
-        row1[actual] = row1.get(actual, 0) + 1
-        self.global_counts[actual] = self.global_counts.get(actual, 0) + 1
-
-    def predict(self, context: Context) -> int:
-        row2 = self.counts2.get((int(context[0]), int(context[1])))
-        if row2:
-            return _argbest(row2.items())
-        row1 = self.counts1.get(int(context[1]))
-        if row1:
-            return _argbest(row1.items())
-        if not self.global_counts:
-            raise ValueError("model has no observations")
-        return _argbest(self.global_counts.items())
 
 
 # Steps whose margin gates one vectorised pass checks. About one step in 25
@@ -300,13 +256,37 @@ class DiffusionKernelModel:
         return min(self._state_ids[r] for r in tied)
 
 
-def make_model(model_kind: str, seed: int = 0, dk_params: dict | None = None):
-    kind = model_kind.lower()
-    if kind == "mc":
-        return MarkovChainModel()
-    if kind == "dk":
-        return DiffusionKernelModel(seed=seed, **(dk_params or {}))
-    raise ValueError(f"unknown model kind {model_kind!r} (expected 'mc' or 'dk')")
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    # numpy's stable sort of 16-bit ints is a radix sort, several times faster than its timsort
+    return np.argsort(values.astype(np.uint16) if values.max() < 1 << 16 else values, kind="stable")
+
+
+def _running_mode(key: np.ndarray, nxt: np.ndarray, n_ids: int) -> np.ndarray:
+    """For each row, the modal ``nxt`` among the strictly earlier rows with its key.
+
+    Rows are in time order, keys are non-negative and ``nxt`` lies in [0,
+    n_ids). Ties go to the smallest ``nxt``; -1 marks a row whose key has no
+    earlier row. With count the rows so far of its (key, nxt) pair, a row's
+    code is ``(count + c) * n_ids + (n_ids - 1 - nxt)``, where c, the key's
+    first position plus its index, lifts every key's codes above those of the
+    keys before it. So the running maximum of the codes in (key, time) order
+    codes each key's mode so far. Codes stay below ``2 * len(key) * n_ids``.
+    """
+    m = len(key)
+    rows = np.arange(m)
+    order = _stable_order(key)  # rows by (key, time)
+    first = np.diff(key[order], prepend=-1) != 0  # first row of its key
+    group = np.cumsum(first) - 1
+    x = nxt[order]
+    pair = group * n_ids + x
+    within = _stable_order(pair)  # positions by (key, nxt, time)
+    new = np.diff(pair[within], prepend=-1) != 0  # first row of its (key, nxt) pair
+    count = np.empty(m, dtype=np.int64)
+    count[within] = rows + 1 - np.maximum.accumulate(np.where(new, rows, 0))
+    best = np.maximum.accumulate((count + np.flatnonzero(first)[group] + group) * n_ids + (n_ids - 1 - x))
+    mode = np.full(m, -1)
+    mode[order[~first]] = n_ids - 1 - best[:-1][~first[1:]] % n_ids
+    return mode
 
 
 def run_protocol(
@@ -320,24 +300,41 @@ def run_protocol(
     """Train on day one, then predict-then-update every tick from day two on.
 
     Deterministic given the seed: the diffusion-kernel model draws all its
-    randomness from one generator seeded here.
+    randomness from one generator seeded here. The Markov chain takes at
+    most 2**31 states, so that its codes fit in int64.
     """
+    kind = model_kind.lower()
+    if kind not in ("mc", "dk"):
+        raise ValueError(f"unknown model kind {model_kind!r} (expected 'mc' or 'dk')")
     seq = np.asarray(getattr(states, "states", states), dtype=np.int64)
     boundaries = list(day_boundaries)
     if len(boundaries) < 2:
         raise ValueError("protocol needs at least 2 trading days")
     start = int(boundaries[1])
-    model = make_model(model_kind, seed=seed, dk_params=dk_params)
-    model.train(seq[:start])
-    lst = seq.tolist()
-    predicted = np.empty(len(lst) - start, dtype=np.int64)
-    for t in range(start, len(lst)):
-        context = (lst[t - 2], lst[t - 1])
-        predicted[t - start] = model.predict(context)
-        model.update(context, lst[t])
+    if start < 3:
+        raise ValueError(f"need at least 3 states to train, got day two at {start}")
+    if start > len(seq):
+        raise ValueError(f"day two starts at {start}, past the {len(seq)} states")
+    if kind == "mc":
+        if len(seq) > 2**31:
+            raise ValueError(f"the Markov chain takes at most 2**31 states, got {len(seq)}")
+        ids, dense = np.unique(seq, return_inverse=True)  # dense ids keep the order of the states
+        n = len(ids)
+        prev2, prev1, nxt = dense[:-2], dense[1:-1], dense[2:]  # transition r happens at tick r + 2
+        keys = (prev2 * n + prev1, prev1, np.zeros_like(prev1))  # pair context, last state, none
+        pair, last, every = (_running_mode(k, nxt, n)[start - 2 :] for k in keys)
+        predicted = ids[np.where(pair >= 0, pair, np.where(last >= 0, last, every))]
+    else:
+        model = DiffusionKernelModel(seed=seed, **(dk_params or {})).train(seq[:start])
+        lst = seq.tolist()
+        predicted = np.empty(len(lst) - start, dtype=np.int64)
+        for t in range(start, len(lst)):
+            context = (lst[t - 2], lst[t - 1])
+            predicted[t - start] = model.predict(context)
+            model.update(context, lst[t])
     return PredictionTrace(
         stock_code=stock_code,
-        model=model_kind.lower(),
+        model=kind,
         predicted=predicted,
         actual=seq[start:].copy(),
         start_index=start,

@@ -165,6 +165,13 @@ def test_invalid_dk_config_is_config_error(workspace, capsys, line):
     assert not Path("out/manifest.jsonl").exists()
 
 
+@pytest.mark.parametrize("flag", [["--dim", "1"], ["--epochs", "0"], ["--alpha", "-1"], ["--negatives", "-1"]])
+def test_invalid_dk_flags_of_predict_are_config_errors(workspace, capsys, flag):
+    Path("s.csv").write_text("state\n" + "".join(f"{s}\n" for s in [1, 2, 3, 1, 2, 3]))
+    assert main(["predict", "--model", "dk", "--input", "s.csv", "--train-end", "4", *flag]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_ingest_expands_globs_and_reports_missing_files(workspace, capsys):
     lines = Path("ticks.csv").read_text().splitlines(keepends=True)
     half = len(lines) // 2

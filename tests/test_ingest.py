@@ -1,11 +1,12 @@
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tickpred.errors import EmptyInputError, SchemaError
+from tickpred.errors import DataError, EmptyInputError, SchemaError
 from tickpred.ingest import (
     ColumnSchema,
     PriceSeries,
@@ -68,6 +69,17 @@ def test_parse_accepts_bytes_and_streams():
     for source in (text.encode("utf-8"), io.StringIO(text)):
         records, malformed = parse_ticks(source, SCHEMA)
         assert len(records) == 1 and malformed == 0
+
+
+def test_parse_reads_a_path_string_and_names_a_missing_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = "code,time,price\nA,2021-01-04 09:30:03,1.00\n"
+    (tmp_path / "ticks.csv").write_text(text)
+    assert parse_ticks("ticks.csv", SCHEMA) == parse_ticks(text, SCHEMA)
+    with pytest.raises(DataError, match="^input file not found: missing.csv$"):
+        parse_ticks("missing.csv", SCHEMA)
+    with pytest.raises(DataError, match="^input file not found: missing.csv$"):
+        parse_ticks(Path("missing.csv"), SCHEMA)
 
 
 def test_interchange_rejects_empty_file(tmp_path):

@@ -8,12 +8,58 @@ from hypothesis import strategies as st
 from tickpred import predict
 from tickpred.entropy import estimate_entropy
 from tickpred.evaluate import accuracy
-from tickpred.predict import DiffusionKernelModel, MarkovChainModel, run_protocol
+from tickpred.predict import DiffusionKernelModel, run_protocol
 from tickpred.predictability import fano_solve
 from tickpred.synthetic import markov2_entropy_rate, markov2_source
 
 
 # -- Markov chain -----------------------------------------------------------
+
+
+class MarkovChainModel:
+    """Incremental second-order transition counts: the oracle for run_protocol's "mc".
+
+    Each observed transition increments one entry in each of three tables:
+    pair-context counts, single-state context counts, and global next-state
+    counts. Prediction is the modal continuation of the pair context, falling
+    back to the single-state context and then to the global mode, with ties
+    broken toward the smallest state id.
+    """
+
+    def __init__(self) -> None:
+        self.counts2: dict[tuple[int, int], dict[int, int]] = {}
+        self.counts1: dict[int, dict[int, int]] = {}
+        self.global_counts: dict[int, int] = {}
+
+    def train(self, seq) -> "MarkovChainModel":
+        seq = [int(s) for s in seq]
+        if len(seq) < 3:
+            raise ValueError(f"need at least 3 states to train, got {len(seq)}")
+        for t in range(2, len(seq)):
+            self.update((seq[t - 2], seq[t - 1]), seq[t])
+        return self
+
+    def update(self, context, actual: int) -> None:
+        for table, key in ((self.counts2, tuple(context)), (self.counts1, context[1])):
+            row = table.setdefault(key, {})
+            row[actual] = row.get(actual, 0) + 1
+        self.global_counts[actual] = self.global_counts.get(actual, 0) + 1
+
+    def predict(self, context) -> int:
+        row = self.counts2.get(tuple(context)) or self.counts1.get(context[1]) or self.global_counts
+        if not row:
+            raise ValueError("model has no observations")
+        return min(row, key=lambda state: (-row[state], state))
+
+
+def _oracle_trace(seq, split) -> np.ndarray:
+    """Train the oracle on seq[:split], then predict and update every later tick."""
+    model = MarkovChainModel().train(seq[:split])
+    predicted = []
+    for t in range(split, len(seq)):
+        predicted.append(model.predict((seq[t - 2], seq[t - 1])))
+        model.update((seq[t - 2], seq[t - 1]), seq[t])
+    return np.asarray(predicted, dtype=np.int64)
 
 
 def test_mc_train_counts_cycle():
@@ -81,6 +127,41 @@ def test_mc_tables_are_consistent_marginals():
     assert sum(c for row in model.counts2.values() for c in row.values()) == total
     assert sum(c for row in model.counts1.values() for c in row.values()) == total
     assert sum(model.global_counts.values()) == total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seq=st.lists(st.integers(0, 4), min_size=3, max_size=80),
+    split=st.integers(3, 80),
+    scale=st.sampled_from([1, 7, 1000, -1, -3, 2**40]),
+    shift=st.integers(-50, 50),
+)
+def test_mc_vectorised_matches_incremental_oracle(seq, split, scale, shift):
+    # small alphabets give ties and 1-state inputs; scale and shift make ids sparse or negative
+    seq = [s * scale + shift for s in seq]
+    split = min(split, len(seq))  # split == len(seq) leaves an empty trace
+    trace = run_protocol(seq, [0, split], "mc")
+    expected = _oracle_trace(seq, split)
+    assert trace.predicted.dtype == np.int64
+    assert trace.predicted.tobytes() == expected.tobytes()
+    assert trace.actual.tobytes() == np.asarray(seq[split:], dtype=np.int64).tobytes()
+
+
+@pytest.mark.parametrize("source", ["markov2", "wide"])
+def test_mc_vectorised_matches_oracle_on_long_sequences(source):
+    if source == "markov2":
+        seq = markov2_source(n_states=12, length=6_000, seed=5)[0]
+    else:  # 300 states: sort keys past 16 bits, and many fallbacks
+        seq = np.random.default_rng(6).integers(0, 300, 6_000)
+    trace = run_protocol(seq, [0, 500], "mc")
+    assert trace.predicted.tobytes() == _oracle_trace(seq.tolist(), 500).tobytes()
+
+
+def test_mc_rejects_sequences_past_its_int64_limit():
+    # a zero-stride view: 2**31 + 1 states without the memory
+    seq = np.broadcast_to(np.int64(0), (2**31 + 1,))
+    with pytest.raises(ValueError, match="at most 2\\*\\*31 states"):
+        run_protocol(seq, [0, 3], "mc")
 
 
 def test_mc_perfect_on_deterministic_cycle():
@@ -309,6 +390,17 @@ def test_protocol_requires_two_days():
         run_protocol([1, 2, 3, 4], [0], "mc")
 
 
+@pytest.mark.parametrize("kind", ["mc", "dk"])
+def test_protocol_train_end_bounds(kind):
+    for start in (2, -1):
+        with pytest.raises(ValueError, match="at least 3"):
+            run_protocol([1, 2, 3, 4], [0, start], kind)
+    with pytest.raises(ValueError, match="past the 4 states"):
+        run_protocol([1, 2, 3, 4], [0, 5], kind)
+    trace = run_protocol([1, 2, 3, 4], [0, 4], kind)
+    assert len(trace) == 0 and trace.start_index == 4
+
+
 def test_protocol_deterministic_given_seed():
     rng = np.random.default_rng(8)
     seq = rng.integers(0, 5, 1200)
@@ -330,6 +422,9 @@ def test_protocol_predictions_are_registered_states():
 def test_unknown_model_kind():
     with pytest.raises(ValueError, match="unknown model kind"):
         run_protocol([1, 2, 3, 4, 5, 6], [0, 3], "lstm")
+    # checked before the sequence or the day boundaries
+    with pytest.raises(ValueError, match="unknown model kind"):
+        run_protocol([], [0], "lstm")
 
 
 def test_mc_beats_uniform_guessing_on_structured_source():
