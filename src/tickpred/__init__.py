@@ -22,7 +22,7 @@ from .quantize import (
     quantize_fixed,
     quantize_fixed_count,
 )
-from .stats import AnovaResult, StockFeatures, anova_oneway, bin_feature, normalize_minmax, spearman, volatility
+from .stats import AnovaResult, anova_oneway, bin_feature, spearman, volatility
 
 __all__ = [
     "AnovaResult",
@@ -39,7 +39,6 @@ __all__ = [
     "QuantizationScheme",
     "QuantizedSequence",
     "SchemaError",
-    "StockFeatures",
     "accuracy",
     "anova_oneway",
     "bin_feature",
@@ -52,7 +51,6 @@ __all__ = [
     "fixed_interval_scheme",
     "match_lengths",
     "match_lengths_fast",
-    "normalize_minmax",
     "parse_ticks",
     "quantize_fixed",
     "quantize_fixed_count",

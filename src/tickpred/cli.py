@@ -30,7 +30,7 @@ from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceS
 from .pipeline import PipelineConfig, run_all, write_csv, write_json_mirror
 from .predict import PredictionTrace, run_protocol
 from .predictability import fano_solve
-from .quantize import QuantizationScheme, fixed_interval_scheme, quantize_fixed, quantize_fixed_count
+from .quantize import QuantizationScheme, fixed_interval_scheme, quantize_fixed_count, quantize_with
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,13 +75,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    if args.interval is not None and args.interval < 0.01:
-        raise ConfigError(f"--interval must be >= 0.01 CNY, got {args.interval}")
+    scheme = fixed_interval_scheme(args.interval) if args.interval is not None else None  # ConfigError if invalid
     if args.state_count is not None and args.state_count < 2:
         raise ConfigError(f"--state-count must be >= 2, got {args.state_count}")
     series = PriceSeries.from_interchange(args.input)
-    if args.interval is not None:
-        seq = quantize_fixed(series, args.interval)
+    if scheme is not None:
+        seq = quantize_with(series, scheme)
     else:
         train_end = args.train_end if args.train_end is not None else (
             series.day_boundaries[1] if series.n_days >= 2 else len(series)
@@ -150,6 +149,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.json and not args.out:
+        raise ConfigError("--json writes a mirror of --out, so it needs --out")
     rows = read_csv_dicts(args.trace, required=("index", "predicted", "actual"))
     if not rows:
         raise DataError(f"{args.trace}: empty trace")
@@ -184,7 +185,7 @@ def cmd_evaluate(args) -> int:
         report.n_test,
     ]
     write_csv(args.out or sys.stdout, header, [row])
-    if args.json and args.out:
+    if args.json:
         write_json_mirror(Path(args.out).with_suffix(".json"), header, [row])
     return 0
 

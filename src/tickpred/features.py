@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .stats import PRICE_BIN_EDGES, VOLATILITY_BIN_EDGES, anova_oneway, bin_feature, normalize_minmax, spearman
+from .stats import PRICE_BIN_EDGES, VOLATILITY_BIN_EDGES, anova_oneway, bin_feature, spearman
 
 FEATURE_HEADER = [
     "stock_code",
@@ -114,8 +114,7 @@ def build_feature_table(
 def correlate_features(rows: list[dict], target: str = "acc_dk") -> dict:
     """Spearman for quantitative features and ANOVA for categorical ones.
 
-    Features are min-max normalized first (a cosmetic step: rank correlation
-    is invariant to it). Rows lacking a feature are skipped per feature.
+    Rows lacking a feature are skipped per feature.
     """
     if not rows:
         raise DataError("empty feature table")
@@ -129,10 +128,8 @@ def correlate_features(rows: list[dict], target: str = "acc_dk") -> dict:
         ]
         if len(pairs) < 3:
             continue
-        values = normalize_minmax([p[0] for p in pairs])
-        target_values = [p[1] for p in pairs]
         try:
-            coef = spearman(values, target_values)
+            coef = spearman([p[0] for p in pairs], [p[1] for p in pairs])
         except ValueError:
             continue
         out["spearman"].append({"feature": feature, "coefficient": coef, "n": len(pairs)})

@@ -94,9 +94,9 @@ class PipelineConfig:
             raise ConfigError("config needs at least one input path")
         if not self.intervals and self.state_count is None:
             raise ConfigError("config needs at least one quantization setting (intervals or state_count)")
-        for t in self.intervals:
-            if t < 0.01:
-                raise ConfigError(f"interval {t} below the 0.01 CNY price precision")
+        widths = [fixed_interval_scheme(t).t_hundredths for t in self.intervals]
+        if len(set(widths)) < len(widths):
+            raise ConfigError(f"intervals {', '.join(map(str, self.intervals))} repeat a setting")
         if self.state_count is not None and self.state_count < 2:
             raise ConfigError("state_count must be >= 2")
         if self.rmse_against not in ("raw", "state"):

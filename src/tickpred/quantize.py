@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
 MIN_INTERVAL_CNY = 0.01  # price precision of the tick feed
 
 FIXED_INTERVAL = "fixed_interval"
@@ -101,13 +103,12 @@ class QuantizedSequence:
 
 
 def fixed_interval_scheme(t_cny: float) -> QuantizationScheme:
-    """Scheme with a fixed bucket width, which must be a whole number of hundredths >= 0.01."""
+    """Scheme with a fixed bucket width: a whole number of hundredths >= 0.01, else a ConfigError."""
     if t_cny < MIN_INTERVAL_CNY:
-        raise ValueError(f"quantification interval must be >= {MIN_INTERVAL_CNY} CNY, got {t_cny}")
-    t_hundredths = int(round(t_cny * 100))
-    if abs(t_hundredths - t_cny * 100) > 1e-6:
-        raise ValueError(f"interval {t_cny} is not a multiple of 0.01 CNY")
-    return QuantizationScheme(mode=FIXED_INTERVAL, t_hundredths=t_hundredths)
+        raise ConfigError(f"interval {t_cny} below the {MIN_INTERVAL_CNY} CNY price precision; need >= {MIN_INTERVAL_CNY}")
+    if not np.isfinite(t_cny) or abs(round(t_cny * 100) - t_cny * 100) > 1e-6:
+        raise ConfigError(f"interval {t_cny} is not a multiple of 0.01 CNY")
+    return QuantizationScheme(mode=FIXED_INTERVAL, t_hundredths=int(round(t_cny * 100)))
 
 
 def fixed_count_scheme(train_prices_hundredths: Sequence[int], sp: int) -> QuantizationScheme:

@@ -172,6 +172,31 @@ def test_invalid_dk_flags_of_predict_are_config_errors(workspace, capsys, flag):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("line", ["intervals = 0.015", "intervals = 0.01, 0.01", "intervals = inf"])
+def test_invalid_intervals_of_run_all_are_config_errors(workspace, capsys, line):
+    Path("t.cfg").write_text(f"input = ticks.csv\noutput_dir = out\n{line}\n")
+    assert main(["run-all", "--config", "t.cfg"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not Path("out/manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("interval", ["0.005", "0.015", "nan"])
+def test_invalid_quantize_interval_is_config_error(workspace, capsys, interval):
+    assert main(["ingest", "--input", "ticks.csv", "--out", "series"]) == 0
+    capsys.readouterr()
+    assert main(["quantize", "--input", "series/000001.csv", "--interval", interval, "--out", "s.csv"]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not Path("s.csv").exists()
+
+
+def test_evaluate_json_needs_out(workspace, capsys):
+    Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
+    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
+    assert main(["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.out == ""
+
+
 def test_ingest_expands_globs_and_reports_missing_files(workspace, capsys):
     lines = Path("ticks.csv").read_text().splitlines(keepends=True)
     half = len(lines) // 2

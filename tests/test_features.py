@@ -2,8 +2,6 @@ import pytest
 
 from tickpred.errors import DataError
 from tickpred.features import build_feature_table, correlate_features, load_metadata
-from tickpred.stats import compute_stock_features
-from tickpred.synthetic import random_walk_series
 
 
 def _per_stock(code, acc_mc, acc_dk, pi, avgprice=10.0, vol=0.01, dropped=None):
@@ -19,15 +17,6 @@ def _per_stock(code, acc_mc, acc_dk, pi, avgprice=10.0, vol=0.01, dropped=None):
             }
         },
     }
-
-
-def test_compute_stock_features():
-    series = random_walk_series("s1", days=2, ticks_per_day=400, seed=1)
-    features = compute_stock_features(series)
-    assert features.stock_code == "s1"
-    assert features.avgprice == pytest.approx(series.mean_price())
-    assert features.volatility > 0
-    assert features.category is None
 
 
 def test_load_metadata_validates_ranges(tmp_path):

@@ -62,6 +62,10 @@ def test_config_validation():
         PipelineConfig().validate()
     with pytest.raises(ConfigError, match="below the 0.01"):
         PipelineConfig(inputs=("x",), intervals=(0.005,)).validate()
+    with pytest.raises(ConfigError, match="not a multiple of 0.01"):
+        PipelineConfig(inputs=("x",), intervals=(0.015,)).validate()
+    with pytest.raises(ConfigError, match="repeat"):
+        PipelineConfig(inputs=("x",), intervals=(0.01, 0.05, 0.010000001)).validate()
     with pytest.raises(ConfigError, match="rmse_against"):
         PipelineConfig(inputs=("x",), rmse_against="both").validate()
 

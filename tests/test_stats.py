@@ -1,16 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as scipy_stats
 
+import tickpred
 from tickpred.stats import (
     PRICE_BIN_EDGES,
     VOLATILITY_BIN_EDGES,
+    _betainc,
     anova_oneway,
     average_ranks,
     bin_feature,
-    normalize_minmax,
     spearman,
     volatility,
 )
@@ -147,6 +153,52 @@ def test_anova_p_matches_scipy():
         assert res.p == pytest.approx(ref.pvalue, abs=1e-10)
 
 
+def _assert_betainc_matches_scipy(a, b, x):
+    """1e-12 relative error for a, b <= 250, 2e-11 beyond; below 1e-250 only 1e-250 absolute."""
+    ref = special.betainc(a, b, x)
+    ours = np.array([_betainc(float(ai), float(bi), float(xi)) for ai, bi, xi in zip(a, b, x)])
+    tiny = ref < 1e-250
+    assert np.all(np.abs(ours - ref)[tiny] <= 1e-250)
+    bar = np.where((a <= 250) & (b <= 250), 1e-12, 2e-11)
+    rel = np.abs(ours - ref)[~tiny] / ref[~tiny]
+    worst = int(np.argmax(rel / bar[~tiny]))
+    assert rel[worst] <= bar[~tiny][worst], (a[~tiny][worst], b[~tiny][worst], x[~tiny][worst], rel[worst])
+
+
+def test_betainc_matches_scipy_on_a_grid():
+    shapes = np.unique(np.concatenate([np.geomspace(0.5, 1900, 24), [1.0, 1.5, 2.0, 15.5, 250.0, 1916.5]]))
+    xs = np.concatenate([np.geomspace(1e-8, 0.5, 24), 1.0 - np.geomspace(1e-8, 0.5, 24)])
+    a, b, x = (g.ravel() for g in np.meshgrid(shapes, shapes, xs, indexing="ij"))
+    _assert_betainc_matches_scipy(a, b, x)
+
+
+def test_betainc_matches_scipy_on_f_test_shapes():
+    # the ANOVA p-value: I_x(d2 / 2, d1 / 2) at x = d2 / (d2 + d1 F), k <= 32 groups, n <= 3,834 stocks
+    k, n, f = np.meshgrid(
+        np.arange(2, 33),
+        np.unique(np.concatenate([np.geomspace(33, 3834, 16).round(), [40, 250, 500, 3834]])),
+        np.geomspace(1e-4, 1e3, 20),
+        indexing="ij",
+    )
+    d1, d2 = (k - 1).ravel(), (n - k).ravel()
+    _assert_betainc_matches_scipy(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f.ravel()))
+
+
+def test_betainc_edges():
+    for a, b in ((0.5, 0.5), (3.0, 1916.5), (250.0, 2.0)):
+        assert _betainc(a, b, 0.0) == 0.0 == special.betainc(a, b, 0.0)
+        assert _betainc(a, b, 1.0) == 1.0 == special.betainc(a, b, 1.0)
+        assert math.isnan(_betainc(a, b, math.nan)) and math.isnan(special.betainc(a, b, math.nan))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(tickpred.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, tickpred.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_anova_degenerate_grouping_rejected():
     with pytest.raises(ValueError, match="at least 2"):
         anova_oneway({1: [1.0, 2.0]})
@@ -156,7 +208,7 @@ def test_anova_degenerate_grouping_rejected():
         anova_oneway({1: [1.0], 2: [2.0]})
 
 
-# -- binning and normalization ------------------------------------------------
+# -- binning ------------------------------------------------------------------
 
 
 def test_bin_feature_price_table():
@@ -190,17 +242,3 @@ def test_bin_feature_bad_edges_rejected():
         bin_feature([1.0], ())
     with pytest.raises(ValueError, match="strictly increasing"):
         bin_feature([1.0], (0.0, 0.0, 1.0))
-
-
-def test_normalize_minmax():
-    assert normalize_minmax([0.0, 5.0, 10.0]).tolist() == [0.0, 0.5, 1.0]
-    assert normalize_minmax([7.0, 7.0]).tolist() == [0.5, 0.5]
-    with pytest.raises(ValueError, match="empty"):
-        normalize_minmax([])
-
-
-def test_normalization_does_not_move_spearman():
-    rng = np.random.default_rng(11)
-    x = rng.uniform(3, 50, 60)
-    y = rng.uniform(0, 1, 60)
-    assert spearman(normalize_minmax(x), y) == pytest.approx(spearman(x, y), abs=1e-12)
