@@ -42,14 +42,24 @@ def _column(text: str):
     return int(text) if text.isdigit() else text
 
 
-def _read_states(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if lines and not lines[0].lstrip("-").isdigit():
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _read_column(path, kind=int) -> np.ndarray:
+    """One number per line (states, or prices with ``kind=float``) after an optional header row."""
+    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
+    if lines and not lines[0].lstrip("-").replace(".", "", 1).isdigit():
         lines = lines[1:]  # header row
     if not lines:
-        raise DataError(f"{path}: no states")
-    return np.asarray([int(x) for x in lines], dtype=np.int64)
+        raise DataError(f"{path}: no values")
+    try:
+        return np.asarray([kind(x) for x in lines], dtype=np.int64 if kind is int else np.float64)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def cmd_ingest(args) -> int:
@@ -94,7 +104,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    states = _read_states(args.input)
+    states = _read_column(args.input)
     est = estimate_entropy(states)
     code = Path(args.input).stem
     header = ["stock_code", "n", "n_distinct", "s_est"]
@@ -120,7 +130,7 @@ def cmd_predictability(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    states = _read_states(args.input)
+    states = _read_column(args.input)
     if args.train_end < 3:
         raise ConfigError("--train-end must be >= 3")
     dk = PipelineConfig(
@@ -163,17 +173,13 @@ def cmd_evaluate(args) -> int:
         actual=actual,
         start_index=int(rows[0]["index"]),
     )
-    scheme = QuantizationScheme.from_json(Path(args.scheme).read_text(encoding="utf-8"))
+    scheme = QuantizationScheme.from_json(_read_text(args.scheme))
     raw = None
     mode = args.rmse_against or ("raw" if args.prices else "state")
     if mode == "raw":
         if not args.prices:
             raise ConfigError("--rmse-against raw needs --prices")
-        with open(args.prices, "r", encoding="utf-8") as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
-        if lines and not lines[0].replace(".", "").lstrip("-").isdigit():
-            lines = lines[1:]
-        raw = np.asarray([float(x) for x in lines])
+        raw = _read_column(args.prices, float)
     report = evaluate_trace(trace, scheme, raw_prices=raw, avgprice=args.avgprice)
     header = ["stock_code", "model", "acc", "rmse", "rmse_ratio_permille", "n_test"]
     row = [

@@ -100,17 +100,19 @@ class PriceSeries:
         path = Path(path)
         times: list[int] = []
         prices: list[int] = []
-        with open(path, "r", encoding="utf-8") as f:
-            header = f.readline()
-            if not header.strip():
-                raise EmptyInputError(f"{path}: empty interchange file")
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                t, p = line.split(",")
-                times.append(int(t))
-                prices.append(int(p))
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except OSError as exc:
+            raise DataError(f"{path}: {exc.strerror or exc}") from exc
+        if not lines or not lines[0].strip():
+            raise EmptyInputError(f"{path}: empty interchange file")
+        for line in lines[1:]:
+            line = line.strip()
+            if not line:
+                continue
+            t, p = line.split(",")
+            times.append(int(t))
+            prices.append(int(p))
         if not times:
             raise EmptyInputError(f"{path}: no data rows")
         epoch = np.asarray(times, dtype=np.int64)

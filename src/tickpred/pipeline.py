@@ -4,9 +4,10 @@ For every stock that survives filtering and every configured quantization
 setting, the pipeline produces the entropy estimate, the accuracy upper
 bound, online traces for both predictors and their evaluation rows, then
 aggregates arithmetic-mean summaries and plot-ready distribution CSVs. A
-manifest records per-stock status so an interrupted or repeated run skips
-finished work, and one corrupt stock cannot abort the rest. Outputs are
-byte-identical for identical config and seed.
+manifest gets one status line per stock as soon as that stock is finished,
+so an interrupted or repeated run skips finished work, and one corrupt stock
+cannot abort the rest. Outputs are byte-identical for identical config and
+seed.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ SUMMARY_HEADER = [
     "share_s_est_lt_2",
 ]
 DROP_HEADER = ["stock_code", "setting", "reason"]
+HIST_HEADER = ["bin_left", "bin_right", "count"]
 
 _KEY_OF = {"inputs": "input"}  # config-file key of a field, where it differs from the field name
 
@@ -313,16 +315,16 @@ def process_stock(series: PriceSeries, config: PipelineConfig) -> dict:
     return result
 
 
-def emit_summary(eval_rows: list[dict], pred_rows: list[dict]) -> list[dict]:
-    """Arithmetic means per (setting, model) plus the share of low-entropy stocks."""
+def emit_summary(eval_rows: list[dict], pred_rows: list[dict], settings: list[str] | None = None) -> list[dict]:
+    """Arithmetic means per (setting, model) plus the share of low-entropy stocks.
+
+    Rows follow ``settings`` (setting labels), by default their order of first
+    appearance in ``eval_rows``.
+    """
     if not eval_rows:
         raise ValueError("no evaluation rows to summarise")
-    settings = []
-    for row in eval_rows:
-        if row["setting"] not in settings:
-            settings.append(row["setting"])
     out = []
-    for setting in settings:
+    for setting in settings or dict.fromkeys(r["setting"] for r in eval_rows):
         preds = [r for r in pred_rows if r["setting"] == setting]
         share_low = (
             sum(1 for r in preds if r["s_est"] < 2.0) / len(preds) if preds else float("nan")
@@ -348,27 +350,33 @@ def emit_summary(eval_rows: list[dict], pred_rows: list[dict]) -> list[dict]:
     return out
 
 
-def _histogram_rows(values: list[float], width: float) -> list[list]:
+def _histogram_rows(values: list[float], width: float) -> list[dict]:
     if not values:
         return []
     top = max(values)
     n_bins = max(1, int(np.floor(top / width)) + 1)
     counts, edges = np.histogram(values, bins=n_bins, range=(0.0, n_bins * width))
-    return [[edges[i], edges[i + 1], int(counts[i])] for i in range(n_bins)]
+    return [dict(zip(HIST_HEADER, (edges[i], edges[i + 1], int(counts[i])))) for i in range(n_bins)]
 
 
-def _load_manifest(path: Path) -> tuple[str, dict[str, tuple[str, str]]]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        return "", {}
-    head = json.loads(lines[0])
-    statuses = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        entry = json.loads(line)
-        statuses[entry["stock"]] = (entry["status"], entry.get("reason", ""))
-    return head.get("config_hash", ""), statuses
+def _done_in_manifest(path: Path, config_hash: str) -> set[str]:
+    """Stocks that a manifest written under ``config_hash`` records as done.
+
+    A manifest that cannot be read counts as empty; a line torn by a kill mid-write is skipped.
+    """
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError):
+        return set()
+    entries = []
+    for line in lines:
+        try:
+            entries.append(json.loads(line))
+        except json.JSONDecodeError:
+            entries.append({})
+    if not entries or entries[0].get("config_hash") != config_hash:
+        return set()
+    return {e["stock"] for e in entries[1:] if e.get("status") == "done"}
 
 
 def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
@@ -380,149 +388,95 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
 
     schema = ColumnSchema(code=config.code_column, time=config.time_column, price=config.price_column)
     all_series, _malformed = load_series(config.inputs, schema)
-    codes = sorted(all_series)
     manifest = RunManifest(config_hash=config.content_hash())
-
     manifest_path = out_dir / "manifest.jsonl"
-    previous_done: set[str] = set()
-    if manifest_path.is_file():
-        prev_hash, prev_statuses = _load_manifest(manifest_path)
-        if prev_hash == manifest.config_hash:
-            previous_done = {c for c, (s, _) in prev_statuses.items() if s == "done"}
-
+    previous_done = _done_in_manifest(manifest_path, manifest.config_hash)
     results: dict[str, dict] = {}
-    pending: list[str] = []
-    for code in codes:
-        per_stock_path = out_dir / "per_stock" / f"{code}.json"
-        if code in previous_done and per_stock_path.is_file():
-            try:
-                results[code] = json.loads(per_stock_path.read_text(encoding="utf-8"))
-                manifest.mark(code, "done")
-                continue
-            except (json.JSONDecodeError, OSError):
-                pass  # fall through and recompute
-        pending.append(code)
 
-    def finish(code: str, outcome) -> None:
-        if isinstance(outcome, Exception):
-            # per-stock isolation: one bad stock cannot stop a run
-            manifest.mark(code, "failed", f"{type(outcome).__name__}: {outcome}")
-            return
-        all_series[code].to_interchange(out_dir / "series" / f"{code}.csv")
-        (out_dir / "per_stock" / f"{code}.json").write_text(
-            json.dumps(outcome, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        results[code] = outcome
-        manifest.mark(code, "done")
+    with open(manifest_path, "w", encoding="utf-8", newline="") as log:
+        # one line per stock as it is reused, finished or failed; a "done"
+        # line follows the writes of that stock's series and per-stock JSON
+        def record(code: str, status: str, reason: str = "") -> None:
+            manifest.mark(code, status, reason)
+            log.write(json.dumps({"stock": code, "status": status, "reason": reason}) + "\n")
+            log.flush()
 
-    if config.workers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {code: pool.submit(process_stock, all_series[code], config) for code in pending}
+        log.write(json.dumps({"config_hash": manifest.config_hash, "tool_version": manifest.tool_version}) + "\n")
+        pending: list[str] = []
+        for code in sorted(all_series):
+            if code in previous_done:
+                try:
+                    results[code] = json.loads((out_dir / "per_stock" / f"{code}.json").read_text(encoding="utf-8"))
+                except (json.JSONDecodeError, OSError):
+                    pass  # a per-stock JSON that is gone or unreadable is recomputed
+            if code in results:
+                record(code, "done")
+            else:
+                pending.append(code)
+
+        parallel = config.workers > 1 and len(pending) > 1
+        with ProcessPoolExecutor(max_workers=config.workers) if parallel else nullcontext() as pool:
+            futures = {c: pool.submit(process_stock, all_series[c], config) for c in pending} if parallel else {}
             for code in pending:
                 try:
-                    finish(code, futures[code].result())
-                except Exception as exc:
-                    finish(code, exc)
-    else:
-        for code in pending:
-            try:
-                finish(code, process_stock(all_series[code], config))
-            except Exception as exc:
-                finish(code, exc)
-
-    with open(manifest_path, "w", encoding="utf-8", newline="") as f:
-        f.write(json.dumps({"config_hash": manifest.config_hash, "tool_version": manifest.tool_version}) + "\n")
-        for code in codes:
-            status, reason = manifest.statuses.get(code, ("pending", ""))
-            f.write(json.dumps({"stock": code, "status": status, "reason": reason}) + "\n")
+                    outcome = futures[code].result() if parallel else process_stock(all_series[code], config)
+                    all_series[code].to_interchange(out_dir / "series" / f"{code}.csv")
+                    (out_dir / "per_stock" / f"{code}.json").write_text(
+                        json.dumps(outcome, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+                    )
+                except Exception as exc:  # per-stock isolation: one bad stock cannot stop a run
+                    record(code, "failed", f"{type(exc).__name__}: {exc}")
+                    continue
+                results[code] = outcome
+                record(code, "done")
 
     _write_reports(out_dir, config, results, json_mirror)
     return manifest
 
 
 def _write_reports(out_dir: Path, config: PipelineConfig, results: dict[str, dict], json_mirror: bool) -> None:
+    settings = config.settings()
+    labels = [s.label for s in settings]
     eval_rows: list[dict] = []
     pred_rows: list[dict] = []
-    drop_rows: list[list] = []
-    labels = [s.label for s in config.settings()]
+    drop_rows: list[dict] = []
     for code in sorted(results):
-        settings = results[code]["settings"]
-        # fixed label and model order keeps rows identical whether a result
+        # fixed setting and model order keeps rows identical whether a result
         # was computed this run or reloaded from a per-stock JSON
         for label in labels:
-            entry = settings.get(label)
+            entry = results[code]["settings"].get(label)
             if entry is None:
                 continue
             if entry.get("dropped"):
-                drop_rows.append([code, label, entry["dropped"]])
+                drop_rows.append({"stock_code": code, "setting": label, "reason": entry["dropped"]})
                 continue
-            pred_rows.append(
-                {
-                    "stock_code": code,
-                    "setting": label,
-                    "n": entry["n"],
-                    "n_distinct": entry["n_distinct"],
-                    "s_est": entry["s_est"],
-                    "pi_max": entry["pi_max"],
-                }
-            )
-            for model in MODELS:
-                rep = entry["models"][model]
-                eval_rows.append(
-                    {
-                        "stock_code": code,
-                        "setting": label,
-                        "model": model,
-                        "acc": rep["acc"],
-                        "rmse": rep["rmse"],
-                        "rmse_ratio_permille": rep["rmse_ratio_permille"],
-                        "n_test": rep["n_test"],
-                    }
-                )
+            models = entry["models"]
+            pred = {"stock_code": code, "setting": label, **{k: entry[k] for k in PRED_HEADER[2:]}}
+            pred_rows.append({**pred, **{f"acc_{m}": models[m]["acc"] for m in MODELS}})  # acc_* feed the plots
+            eval_rows.extend({"stock_code": code, "setting": label, "model": m, **models[m]} for m in MODELS)
 
-    reports = out_dir / "reports"
-    write_csv(reports / "evaluation.csv", EVAL_HEADER, [[r[k] for k in EVAL_HEADER] for r in eval_rows])
-    write_csv(reports / "predictability.csv", PRED_HEADER, [[r[k] for k in PRED_HEADER] for r in pred_rows])
-    write_csv(reports / "drops.csv", DROP_HEADER, drop_rows)
-    summary_rows = emit_summary(eval_rows, pred_rows) if eval_rows else []
-    write_csv(reports / "summary.csv", SUMMARY_HEADER, [[r[k] for k in SUMMARY_HEADER] for r in summary_rows])
-    if json_mirror:
-        write_json_mirror(reports / "evaluation.json", EVAL_HEADER, [[r[k] for k in EVAL_HEADER] for r in eval_rows])
-        write_json_mirror(reports / "predictability.json", PRED_HEADER, [[r[k] for k in PRED_HEADER] for r in pred_rows])
-        write_json_mirror(reports / "drops.json", DROP_HEADER, drop_rows)
-        write_json_mirror(
-            reports / "summary.json", SUMMARY_HEADER, [[r[k] for k in SUMMARY_HEADER] for r in summary_rows]
-        )
-
-    plots = out_dir / "plots"
-    for setting in config.settings():
+    tables = [
+        ("reports/evaluation.csv", EVAL_HEADER, eval_rows),
+        ("reports/predictability.csv", PRED_HEADER, pred_rows),
+        ("reports/drops.csv", DROP_HEADER, drop_rows),
+        ("reports/summary.csv", SUMMARY_HEADER, emit_summary(eval_rows, pred_rows, labels) if eval_rows else []),
+    ]
+    for setting in settings:
         label, slug = setting.label, setting.slug
         preds = [r for r in pred_rows if r["setting"] == label]
-        write_csv(
-            plots / f"entropy_hist_{slug}.csv",
-            ["bin_left", "bin_right", "count"],
-            _histogram_rows([r["s_est"] for r in preds], 0.1),
-        )
-        acc_of = {
-            (r["stock_code"], r["model"]): r["acc"] for r in eval_rows if r["setting"] == label
-        }
-        write_csv(
-            plots / f"acc_vs_pimax_{slug}.csv",
-            ["stock_code", "pi_max", "acc_mc", "acc_dk"],
-            [
-                [r["stock_code"], r["pi_max"], acc_of.get((r["stock_code"], "mc"), ""), acc_of.get((r["stock_code"], "dk"), "")]
-                for r in preds
-            ],
-        )
+        tables += [
+            (f"plots/entropy_hist_{slug}.csv", HIST_HEADER, _histogram_rows([r["s_est"] for r in preds], 0.1)),
+            (f"plots/acc_vs_pimax_{slug}.csv", ["stock_code", "pi_max", *(f"acc_{m}" for m in MODELS)], preds),
+        ]
         for model in MODELS:
             rows = [r for r in eval_rows if r["setting"] == label and r["model"] == model]
-            write_csv(
-                plots / f"rmse_hist_{slug}_{model}.csv",
-                ["bin_left", "bin_right", "count"],
-                _histogram_rows([r["rmse"] for r in rows], 0.01),
-            )
-            write_csv(
-                plots / f"acc_vs_rmse_{slug}_{model}.csv",
-                ["stock_code", "acc", "rmse"],
-                [[r["stock_code"], r["acc"], r["rmse"]] for r in rows],
-            )
+            tables += [
+                (f"plots/rmse_hist_{slug}_{model}.csv", HIST_HEADER, _histogram_rows([r["rmse"] for r in rows], 0.01)),
+                (f"plots/acc_vs_rmse_{slug}_{model}.csv", ["stock_code", "acc", "rmse"], rows),
+            ]
+
+    for name, header, rows in tables:
+        values = [[r[k] for k in header] for r in rows]
+        write_csv(out_dir / name, header, values)
+        if json_mirror and name.startswith("reports/"):
+            write_json_mirror((out_dir / name).with_suffix(".json"), header, values)

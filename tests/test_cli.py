@@ -217,12 +217,28 @@ def test_ingest_expands_globs_and_reports_missing_files(workspace, capsys):
         (["predictability", "--entropy-file", "nope.csv"], "nope.csv"),
         (["predictability", "--entropy-file", "no_s_est.csv"], "'s_est'"),
         (["evaluate", "--trace", "no_predicted.csv", "--scheme", "scheme.json"], "'predicted'"),
+        (["quantize", "--input", "nope.csv", "--interval", "0.01", "--out", "s.csv"], "nope.csv"),
+        (["entropy", "--input", "nope.csv"], "nope.csv"),
+        (["predict", "--model", "mc", "--input", "nope.csv", "--train-end", "4"], "nope.csv"),
+        (["evaluate", "--trace", "trace.csv", "--scheme", "nope.json"], "nope.json"),
+        (["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--prices", "nope.txt"], "nope.txt"),
     ],
-    ids=["missing-file", "no-s_est-column", "no-predicted-column"],
+    ids=[
+        "missing-file",
+        "no-s_est-column",
+        "no-predicted-column",
+        "quantize-missing-input",
+        "entropy-missing-input",
+        "predict-missing-input",
+        "evaluate-missing-scheme",
+        "evaluate-missing-prices",
+    ],
 )
 def test_unreadable_input_csv_is_data_error(workspace, capsys, argv, needle):
     Path("no_s_est.csv").write_text("stock_code,n,n_distinct\nA,40,3\n")
     Path("no_predicted.csv").write_text("index,actual\n3,1\n")
+    Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
+    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and needle in err

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from tickpred import pipeline
 from tickpred.errors import ConfigError
-from tickpred.pipeline import PipelineConfig, QuantizationSetting, child_seed, emit_summary, run_all
+from tickpred.pipeline import PipelineConfig, QuantizationSetting, child_seed, emit_summary, process_stock, run_all
 from tickpred.synthetic import write_tick_fixture
 
 
@@ -205,13 +206,90 @@ def test_run_all_state_count_setting(fixture_csv, tmp_path):
     assert pred[1].split(",")[1] == "SP=50"
 
 
+def _tree(root, subdirs=("reports", "plots", "per_stock")):
+    root = Path(root)
+    return {p.relative_to(root).as_posix(): p.read_bytes() for d in subdirs for p in (root / d).rglob("*") if p.is_file()}
+
+
 def test_run_all_worker_pool_matches_sequential(fixture_csv, tmp_path):
     seq_cfg = _config(fixture_csv, tmp_path, out="out_seq")
     par_cfg = _config(fixture_csv, tmp_path, out="out_par", workers=2)
     run_all(seq_cfg)
     run_all(par_cfg)
-    for name in ("reports/evaluation.csv", "reports/summary.csv", "reports/predictability.csv"):
-        assert (Path(seq_cfg.output_dir) / name).read_bytes() == (Path(par_cfg.output_dir) / name).read_bytes()
+    seq, par = _tree(seq_cfg.output_dir), _tree(par_cfg.output_dir)
+    assert len(seq) == 4 + 2 * 6 + 3  # reports, plots per setting, per-stock JSON
+    assert seq == par
+
+
+def test_run_all_json_mirror_matches_reports(fixture_csv, tmp_path):
+    # intervals in this order with min_states = 6 drop two stocks at T=0.05, so drops.csv has rows too
+    config = _config(fixture_csv, tmp_path, intervals=(0.05, 0.01), min_states=6)
+    run_all(config, json_mirror=True)
+    out = Path(config.output_dir)
+    assert sorted(p.name for p in out.rglob("*.json") if p.parent.name != "per_stock") == [
+        "drops.json", "evaluation.json", "predictability.json", "summary.json"
+    ]
+    for mirror in (out / "reports").glob("*.json"):
+        header, *rows = mirror.with_suffix(".csv").read_text().splitlines()
+        records = json.loads(mirror.read_text())
+        assert rows and len(records) == len(rows)
+        assert all(list(r) == sorted(header.split(",")) for r in records)
+
+
+def test_summary_follows_config_setting_order(fixture_csv, tmp_path):
+    config = _config(fixture_csv, tmp_path, intervals=(0.05, 0.01), min_states=6)
+    run_all(config)
+    reports = Path(config.output_dir) / "reports"
+    assert "000001,T=0.05,too few states" in reports.joinpath("drops.csv").read_text()  # first stock drops T=0.05
+    summary = [line.split(",")[:2] for line in reports.joinpath("summary.csv").read_text().splitlines()[1:]]
+    assert summary == [["T=0.05", "mc"], ["T=0.05", "dk"], ["T=0.01", "mc"], ["T=0.01", "dk"]]
+
+
+def _record_computed(monkeypatch, fail_on=None):
+    """Patch process_stock to log the stocks it computes; raise KeyboardInterrupt on ``fail_on``."""
+    computed = []
+
+    def spy(series, config):
+        if series.stock_code == fail_on:
+            raise KeyboardInterrupt
+        computed.append(series.stock_code)
+        return process_stock(series, config)
+
+    monkeypatch.setattr(pipeline, "process_stock", spy)
+    return computed
+
+
+def test_interrupted_run_resumes(fixture_csv, tmp_path, monkeypatch):
+    config = _config(fixture_csv, tmp_path)
+    reference = _config(fixture_csv, tmp_path, out="reference")
+    run_all(reference)
+    _record_computed(monkeypatch, fail_on="600000")
+    with pytest.raises(KeyboardInterrupt):
+        run_all(config)
+    lines = (Path(config.output_dir) / "manifest.jsonl").read_text().splitlines()
+    assert [json.loads(line).get("stock") for line in lines] == [None, "000001", "000002"]
+
+    computed = _record_computed(monkeypatch)
+    manifest = run_all(config)
+    assert computed == ["600000"]
+    assert manifest.done == ["000001", "000002", "600000"]
+    assert _tree(config.output_dir) == _tree(reference.output_dir)
+
+
+@pytest.mark.parametrize("keep_lines, recomputed", [(0, ["000001", "000002", "600000"]), (2, ["000002", "600000"])])
+def test_torn_manifest_recomputes_only_unfinished_stocks(fixture_csv, tmp_path, monkeypatch, keep_lines, recomputed):
+    config = _config(fixture_csv, tmp_path)
+    run_all(config)
+    before = _tree(config.output_dir)
+    path = Path(config.output_dir) / "manifest.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:keep_lines]) + lines[keep_lines][:20])  # a kill mid-write of the next line
+
+    computed = _record_computed(monkeypatch)
+    manifest = run_all(config)
+    assert computed == recomputed
+    assert manifest.failed == []
+    assert _tree(config.output_dir) == before
 
 
 def test_per_stock_json_is_loadable(fixture_csv, tmp_path):
