@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import estimate_entropy
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_text
 from .evaluate import evaluate_trace
 from .features import (
     FEATURE_HEADER,
@@ -42,16 +42,9 @@ def _column(text: str):
     return int(text) if text.isdigit() else text
 
 
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
-
-
 def _read_column(path, kind=int) -> np.ndarray:
     """One number per line (states, or prices with ``kind=float``) after an optional header row."""
-    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
     if lines and not lines[0].lstrip("-").replace(".", "", 1).isdigit():
         lines = lines[1:]  # header row
     if not lines:
@@ -173,7 +166,7 @@ def cmd_evaluate(args) -> int:
         actual=actual,
         start_index=int(rows[0]["index"]),
     )
-    scheme = QuantizationScheme.from_json(_read_text(args.scheme))
+    scheme = QuantizationScheme.from_json(read_text(args.scheme))
     raw = None
     mode = args.rmse_against or ("raw" if args.prices else "state")
     if mode == "raw":

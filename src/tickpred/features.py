@@ -11,12 +11,13 @@ distribution bins.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .stats import PRICE_BIN_EDGES, VOLATILITY_BIN_EDGES, anova_oneway, bin_feature, spearman
 
 FEATURE_HEADER = [
@@ -42,15 +43,11 @@ def read_csv_dicts(path, required: tuple[str, ...] = ()) -> list[dict[str, str]]
     Raises DataError naming the file when it cannot be read or lacks a
     ``required`` column.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f)
-            missing = [c for c in required if c not in (reader.fieldnames or [])]
-            if missing:
-                raise DataError(f"{path}: missing columns {missing}")
-            return list(reader)
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    missing = [c for c in required if c not in (reader.fieldnames or [])]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    return list(reader)
 
 
 def load_metadata(path) -> dict[str, dict[str, float]]:

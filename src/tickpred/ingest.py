@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError, SchemaError
+from .errors import DataError, EmptyInputError, SchemaError, read_text
 from .quantize import QuantizationScheme
 
 DEFAULT_MIN_LENGTH = 1000  # ticks; roughly a quarter trading day
@@ -100,10 +100,7 @@ class PriceSeries:
         path = Path(path)
         times: list[int] = []
         prices: list[int] = []
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise DataError(f"{path}: {exc.strerror or exc}") from exc
+        lines = read_text(path).splitlines()
         if not lines or not lines[0].strip():
             raise EmptyInputError(f"{path}: empty interchange file")
         for line in lines[1:]:

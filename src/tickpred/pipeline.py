@@ -15,9 +15,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -315,16 +316,15 @@ def process_stock(series: PriceSeries, config: PipelineConfig) -> dict:
     return result
 
 
-def emit_summary(eval_rows: list[dict], pred_rows: list[dict], settings: list[str] | None = None) -> list[dict]:
+def emit_summary(eval_rows: list[dict], pred_rows: list[dict]) -> list[dict]:
     """Arithmetic means per (setting, model) plus the share of low-entropy stocks.
 
-    Rows follow ``settings`` (setting labels), by default their order of first
-    appearance in ``eval_rows``.
+    Settings come in their order of first appearance in ``eval_rows``.
     """
     if not eval_rows:
         raise ValueError("no evaluation rows to summarise")
     out = []
-    for setting in settings or dict.fromkeys(r["setting"] for r in eval_rows):
+    for setting in dict.fromkeys(r["setting"] for r in eval_rows):
         preds = [r for r in pred_rows if r["setting"] == setting]
         share_low = (
             sum(1 for r in preds if r["s_est"] < 2.0) / len(preds) if preds else float("nan")
@@ -390,45 +390,45 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     all_series, _malformed = load_series(config.inputs, schema)
     manifest = RunManifest(config_hash=config.content_hash())
     manifest_path = out_dir / "manifest.jsonl"
-    previous_done = _done_in_manifest(manifest_path, manifest.config_hash)
     results: dict[str, dict] = {}
+    for code in sorted(_done_in_manifest(manifest_path, manifest.config_hash) & all_series.keys()):
+        try:
+            results[code] = json.loads((out_dir / "per_stock" / f"{code}.json").read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, OSError):
+            pass  # a per-stock JSON that is gone or unreadable is recomputed
+    pending = [code for code in sorted(all_series) if code not in results]
 
     with open(manifest_path, "w", encoding="utf-8", newline="") as log:
         # one line per stock as it is reused, finished or failed; a "done"
         # line follows the writes of that stock's series and per-stock JSON
-        def record(code: str, status: str, reason: str = "") -> None:
+        def record(code: str, status: str, reason: str = "") -> str:
             manifest.mark(code, status, reason)
-            log.write(json.dumps({"stock": code, "status": status, "reason": reason}) + "\n")
-            log.flush()
+            return json.dumps({"stock": code, "status": status, "reason": reason})
 
-        log.write(json.dumps({"config_hash": manifest.config_hash, "tool_version": manifest.tool_version}) + "\n")
-        pending: list[str] = []
-        for code in sorted(all_series):
-            if code in previous_done:
-                try:
-                    results[code] = json.loads((out_dir / "per_stock" / f"{code}.json").read_text(encoding="utf-8"))
-                except (json.JSONDecodeError, OSError):
-                    pass  # a per-stock JSON that is gone or unreadable is recomputed
-            if code in results:
-                record(code, "done")
-            else:
-                pending.append(code)
+        # the header and every reused stock go in one write, so a kill can lose
+        # the previous run's "done" lines only inside that write
+        header = json.dumps({"config_hash": manifest.config_hash, "tool_version": manifest.tool_version})
+        print("\n".join([header, *(record(code, "done") for code in results)]), file=log, flush=True)
 
         parallel = config.workers > 1 and len(pending) > 1
         with ProcessPoolExecutor(max_workers=config.workers) if parallel else nullcontext() as pool:
-            futures = {c: pool.submit(process_stock, all_series[c], config) for c in pending} if parallel else {}
-            for code in pending:
+            if parallel:  # pooled stocks are recorded as they finish
+                futures = {pool.submit(process_stock, all_series[c], config): c for c in pending}
+                jobs = ((futures[f], f.result) for f in as_completed(futures))
+            else:
+                jobs = ((c, partial(process_stock, all_series[c], config)) for c in pending)
+            for code, compute in jobs:
                 try:
-                    outcome = futures[code].result() if parallel else process_stock(all_series[code], config)
+                    outcome = compute()
                     all_series[code].to_interchange(out_dir / "series" / f"{code}.csv")
                     (out_dir / "per_stock" / f"{code}.json").write_text(
                         json.dumps(outcome, indent=2, sort_keys=True) + "\n", encoding="utf-8"
                     )
                 except Exception as exc:  # per-stock isolation: one bad stock cannot stop a run
-                    record(code, "failed", f"{type(exc).__name__}: {exc}")
+                    print(record(code, "failed", f"{type(exc).__name__}: {exc}"), file=log, flush=True)
                     continue
                 results[code] = outcome
-                record(code, "done")
+                print(record(code, "done"), file=log, flush=True)
 
     _write_reports(out_dir, config, results, json_mirror)
     return manifest
@@ -455,11 +455,14 @@ def _write_reports(out_dir: Path, config: PipelineConfig, results: dict[str, dic
             pred_rows.append({**pred, **{f"acc_{m}": models[m]["acc"] for m in MODELS}})  # acc_* feed the plots
             eval_rows.extend({"stock_code": code, "setting": label, "model": m, **models[m]} for m in MODELS)
 
+    # summary rows follow the config's setting order, whichever stock comes first
+    by_setting = sorted(eval_rows, key=lambda r: labels.index(r["setting"]))
+    summary = emit_summary(by_setting, pred_rows) if eval_rows else []
     tables = [
         ("reports/evaluation.csv", EVAL_HEADER, eval_rows),
         ("reports/predictability.csv", PRED_HEADER, pred_rows),
         ("reports/drops.csv", DROP_HEADER, drop_rows),
-        ("reports/summary.csv", SUMMARY_HEADER, emit_summary(eval_rows, pred_rows, labels) if eval_rows else []),
+        ("reports/summary.csv", SUMMARY_HEADER, summary),
     ]
     for setting in settings:
         label, slug = setting.label, setting.slug

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -259,21 +260,69 @@ def _record_computed(monkeypatch, fail_on=None):
     return computed
 
 
-def test_interrupted_run_resumes(fixture_csv, tmp_path, monkeypatch):
-    config = _config(fixture_csv, tmp_path)
+def _interrupt_at_600000(series, config):
+    """process_stock that a worker process can unpickle; stands for a kill while 600000 runs."""
+    if series.stock_code == "600000":
+        raise KeyboardInterrupt
+    return process_stock(series, config)
+
+
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+def _done_lines(out_dir):
+    lines = (Path(out_dir) / "manifest.jsonl").read_text().splitlines()
+    assert "config_hash" in json.loads(lines[0])
+    return [json.loads(line)["stock"] for line in lines[1:] if json.loads(line)["status"] == "done"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupted_run_resumes(fixture_csv, tmp_path, monkeypatch, workers):
+    config = _config(fixture_csv, tmp_path, workers=workers)
     reference = _config(fixture_csv, tmp_path, out="reference")
     run_all(reference)
-    _record_computed(monkeypatch, fail_on="600000")
+    monkeypatch.setattr(pipeline, "process_stock", _interrupt_at_600000)
     with pytest.raises(KeyboardInterrupt):
         run_all(config)
-    lines = (Path(config.output_dir) / "manifest.jsonl").read_text().splitlines()
-    assert [json.loads(line).get("stock") for line in lines] == [None, "000001", "000002"]
+    done = _done_lines(config.output_dir)
+    if workers == 1:
+        assert done == ["000001", "000002"]
+    else:  # pooled stocks are recorded as they finish, so the kill may beat one of them
+        assert done and set(done) <= {"000001", "000002"}
 
     computed = _record_computed(monkeypatch)
-    manifest = run_all(config)
-    assert computed == ["600000"]
+    manifest = run_all(dataclasses.replace(config, workers=1))  # the spy cannot be sent to a worker
+    assert computed == sorted({"000001", "000002", "600000"} - set(done))
     assert manifest.done == ["000001", "000002", "600000"]
     assert _tree(config.output_dir) == _tree(reference.output_dir)
+
+
+@pytest.mark.parametrize("stage", ["reuse", "reports"])
+def test_interrupted_warm_rerun_keeps_finished_stocks(fixture_csv, tmp_path, monkeypatch, stage):
+    config = _config(fixture_csv, tmp_path)
+    run_all(config)
+    before = _tree(config.output_dir)
+    if stage == "reuse":  # a kill while the second finished stock's JSON is read back
+        read_text = Path.read_text
+
+        def interrupting_read(path, *args, **kwargs):
+            if path.name == "000002.json":
+                raise KeyboardInterrupt
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", interrupting_read)
+    else:
+        monkeypatch.setattr(pipeline, "_write_reports", _interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run_all(config)
+    monkeypatch.undo()
+    assert _done_lines(config.output_dir) == ["000001", "000002", "600000"]
+
+    computed = _record_computed(monkeypatch)
+    assert run_all(config).done == ["000001", "000002", "600000"]
+    assert computed == []
+    assert _tree(config.output_dir) == before
 
 
 @pytest.mark.parametrize("keep_lines, recomputed", [(0, ["000001", "000002", "600000"]), (2, ["000002", "600000"])])
