@@ -345,6 +345,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output that cannot be written; unreadable inputs raise DataError
+        detail = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"config error: {detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

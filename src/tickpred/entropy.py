@@ -76,12 +76,14 @@ def match_lengths(states) -> np.ndarray:
 def match_lengths_fast(states) -> np.ndarray:
     """Same contract as ``match_lengths`` in sub-quadratic expected time.
 
-    Builds a suffix automaton of the whole sequence, annotates each state with
-    the earliest end position of its substrings, then sweeps a matching window
-    across the sequence. A substring starting at i lies entirely inside the
-    prefix s[:i] exactly when its earliest end position is < i, so the sweep
-    extends while that holds and inherits the match across window shifts via
-    suffix links, which keeps the total work near linear.
+    Builds a suffix automaton of the whole sequence that records the earliest
+    end position of each state's substrings (a clone keeps that of the state
+    it copies: cloning adds only the current, later end position to its set),
+    then sweeps a matching window across the sequence. A substring starting
+    at i lies entirely inside the prefix s[:i] exactly when its earliest end
+    position is < i, so the sweep extends while that holds and inherits the
+    match across window shifts via suffix links, which keeps the total work
+    near linear.
     """
     s = _as_state_array(states).tolist()
     n = len(s)
@@ -89,11 +91,10 @@ def match_lengths_fast(states) -> np.ndarray:
         raise ValueError("empty sequence")
 
     # -- build the automaton over the full sequence ------------------------
-    INF = n + 1
     length = [0]
     link = [-1]
     trans: list[dict[int, int]] = [{}]
-    first_end = [INF]  # creation end position for prefix states, INF for clones
+    first_end = [-1]  # earliest end position of each state's substrings
     last = 0
     for pos, c in enumerate(s):
         cur = len(length)
@@ -116,31 +117,13 @@ def match_lengths_fast(states) -> np.ndarray:
                 length.append(length[v] + 1)
                 link.append(link[q])
                 trans.append(dict(trans[q]))
-                first_end.append(INF)
+                first_end.append(first_end[q])
                 while v != -1 and trans[v].get(c) == q:
                     trans[v][c] = clone
                     v = link[v]
                 link[q] = clone
                 link[cur] = clone
         last = cur
-
-    # earliest end position of each state's substrings: minimum creation
-    # position over its suffix-link subtree (clones start at INF)
-    m = len(length)
-    min_end = first_end
-    counts = [0] * (n + 2)
-    for v in range(1, m):
-        counts[length[v]] += 1
-    for k in range(1, n + 2):
-        counts[k] += counts[k - 1]
-    order = [0] * (m - 1)
-    for v in range(m - 1, 0, -1):
-        counts[length[v]] -= 1
-        order[counts[length[v]]] = v
-    for v in reversed(order):  # decreasing length: children before parents
-        parent = link[v]
-        if parent >= 0 and min_end[v] < min_end[parent]:
-            min_end[parent] = min_end[v]
 
     # -- sweep ---------------------------------------------------------------
     lam = np.empty(n, dtype=np.int64)
@@ -149,7 +132,7 @@ def match_lengths_fast(states) -> np.ndarray:
     for i in range(n):
         while i + l < n:
             u = trans[v].get(s[i + l])
-            if u is None or min_end[u] >= i:
+            if u is None or first_end[u] >= i:
                 break
             v = u
             l += 1

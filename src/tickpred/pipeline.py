@@ -5,8 +5,8 @@ setting, the pipeline produces the entropy estimate, the accuracy upper
 bound, online traces for both predictors and their evaluation rows, then
 aggregates arithmetic-mean summaries and plot-ready distribution CSVs. A
 manifest gets one status line per stock as soon as that stock is finished,
-so an interrupted or repeated run skips finished work, and one corrupt stock
-cannot abort the rest. Outputs are byte-identical for identical config and
+so an interrupted or repeated run skips finished stocks whose parsed series
+is unchanged, and one corrupt stock cannot abort the rest. Outputs are byte-identical for identical config and
 seed.
 """
 
@@ -359,15 +359,19 @@ def _histogram_rows(values: list[float], width: float) -> list[dict]:
     return [dict(zip(HIST_HEADER, (edges[i], edges[i + 1], int(counts[i])))) for i in range(n_bins)]
 
 
-def _done_in_manifest(path: Path, config_hash: str) -> set[str]:
-    """Stocks that a manifest written under ``config_hash`` records as done.
+def _series_digest(series: PriceSeries) -> str:
+    return hashlib.sha256(series.epoch_seconds.tobytes() + series.prices_hundredths.tobytes()).hexdigest()
+
+
+def _done_in_manifest(path: Path, config_hash: str) -> dict[str, str | None]:
+    """Series digest of each stock that a manifest written under ``config_hash`` records as done.
 
     A manifest that cannot be read counts as empty; a line torn by a kill mid-write is skipped.
     """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError):
-        return set()
+        return {}
     entries = []
     for line in lines:
         try:
@@ -375,8 +379,8 @@ def _done_in_manifest(path: Path, config_hash: str) -> set[str]:
         except json.JSONDecodeError:
             entries.append({})
     if not entries or entries[0].get("config_hash") != config_hash:
-        return set()
-    return {e["stock"] for e in entries[1:] if e.get("status") == "done"}
+        return {}
+    return {e["stock"]: e.get("digest") for e in entries[1:] if e.get("status") == "done"}
 
 
 def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
@@ -390,8 +394,11 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     all_series, _malformed = load_series(config.inputs, schema)
     manifest = RunManifest(config_hash=config.content_hash())
     manifest_path = out_dir / "manifest.jsonl"
+    # a stock is reused only when its parsed series is the one its "done" line records
+    digests = {code: _series_digest(series) for code, series in all_series.items()}
+    done = _done_in_manifest(manifest_path, manifest.config_hash)
     results: dict[str, dict] = {}
-    for code in sorted(_done_in_manifest(manifest_path, manifest.config_hash) & all_series.keys()):
+    for code in sorted(c for c in all_series if done.get(c) == digests[c]):
         try:
             results[code] = json.loads((out_dir / "per_stock" / f"{code}.json").read_text(encoding="utf-8"))
         except (json.JSONDecodeError, OSError):
@@ -403,7 +410,7 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
         # line follows the writes of that stock's series and per-stock JSON
         def record(code: str, status: str, reason: str = "") -> str:
             manifest.mark(code, status, reason)
-            return json.dumps({"stock": code, "status": status, "reason": reason})
+            return json.dumps({"stock": code, "status": status, "reason": reason, "digest": digests[code]})
 
         # the header and every reused stock go in one write, so a kill can lose
         # the previous run's "done" lines only inside that write

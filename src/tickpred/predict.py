@@ -35,15 +35,6 @@ class PredictionTrace:
         return len(self.predicted)
 
 
-def _argbest(items):
-    """Key with the highest count; ties go to the smallest key."""
-    best_key, best_count = None, None
-    for key, count in items:
-        if best_count is None or count > best_count or (count == best_count and key < best_key):
-            best_key, best_count = key, count
-    return best_key
-
-
 # Steps whose margin gates one vectorised pass checks. About one step in 25
 # fires in day-one training; below 16 the per-pass overhead dominates, and
 # 16 to 128 train equally fast within the timing noise.
@@ -126,22 +117,14 @@ class DiffusionKernelModel:
         self.context_rows: dict[Context, int] = {}
         self._state_ids: list[int] = []  # state id of each row
         self.obs_counts: dict[int, int] = {}
-        self._gate_checks = 0
-        self._gate_fires = 0
+        self.gate_checks = 0
+        self.gate_fires = 0
 
     # -- registry ----------------------------------------------------------
 
     @property
     def n_states(self) -> int:
         return len(self.state_rows)
-
-    @property
-    def gate_checks(self) -> int:
-        return self._gate_checks
-
-    @property
-    def gate_fires(self) -> int:
-        return self._gate_fires
 
     def _ensure_state(self, state: int) -> int:
         row = self.state_rows.get(state)
@@ -206,8 +189,8 @@ class DiffusionKernelModel:
             zs[i] += step * d[f, 0]
             zs[j] -= step * d[f, 1]
             zc[c[f]] += step * move
-        self._gate_checks += checks
-        self._gate_fires += fires
+        self.gate_checks += checks
+        self.gate_fires += fires
 
     def train(self, states) -> "DiffusionKernelModel":
         seq = np.asarray(getattr(states, "states", states), dtype=np.int64).tolist()
@@ -243,8 +226,8 @@ class DiffusionKernelModel:
             a = self.state_rows.get(context[0])
             b = self.state_rows.get(context[1])
             if a is None or b is None:
-                # nothing to anchor the context: fall back to the global mode
-                return _argbest(self.obs_counts.items())
+                # nothing to anchor the context: the most observed state, the smallest on ties
+                return min(self.obs_counts, key=lambda s: (-self.obs_counts[s], s))
             ctx_row = self._ensure_context(context, 0.5 * (self._zs.data[a] + self._zs.data[b]))
         zc = self._zc.data[ctx_row]
         diff = self._zs.view() - zc

@@ -8,12 +8,12 @@ CNY so that state boundaries fall exactly on price ticks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 MIN_INTERVAL_CNY = 0.01  # price precision of the tick feed
 
@@ -39,55 +39,41 @@ class QuantizationScheme:
     origin_hundredths: int = 0
     span_hundredths: int | None = None
 
-    @property
-    def interval_cny(self) -> float:
-        """Bucket width in CNY (derived width for FIXED_COUNT)."""
-        if self.mode == FIXED_INTERVAL:
-            return self.t_hundredths / 100.0
-        return self.span_hundredths / (100.0 * self.sp)
-
-    @property
-    def origin_cny(self) -> float:
-        return self.origin_hundredths / 100.0
+    def _width(self) -> tuple[int, int]:
+        """Bucket width as the exact ratio (k, w): w / k hundredths."""
+        return (1, self.t_hundredths) if self.mode == FIXED_INTERVAL else (self.sp, self.span_hundredths)
 
     def states_of(self, prices_hundredths: np.ndarray) -> np.ndarray:
         """State ids of prices given in integer hundredths; below the origin clamps to 0."""
+        k, w = self._width()
         p = np.asarray(prices_hundredths, dtype=np.int64)
-        if self.mode == FIXED_INTERVAL:
-            return p // self.t_hundredths
-        shifted = np.maximum(p - self.origin_hundredths, 0)
-        return (shifted * self.sp) // self.span_hundredths
+        return np.maximum(p - self.origin_hundredths, 0) * k // w
 
     def prices_of(self, states: np.ndarray) -> np.ndarray:
         """Representative price of each state: the bucket midpoint, in CNY."""
         s = np.asarray(states, dtype=np.float64)
         if np.any(s < 0):
             raise ValueError("state ids are non-negative")
-        if self.mode == FIXED_INTERVAL:
-            return (s + 0.5) * (self.t_hundredths / 100.0)
-        return self.origin_hundredths / 100.0 + (s + 0.5) * (self.span_hundredths / (100.0 * self.sp))
+        k, w = self._width()
+        return self.origin_hundredths / 100.0 + (s + 0.5) * (w / (100.0 * k))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "t_hundredths": self.t_hundredths,
-                "sp": self.sp,
-                "origin_hundredths": self.origin_hundredths,
-                "span_hundredths": self.span_hundredths,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "QuantizationScheme":
-        d = json.loads(text)
-        return cls(
-            mode=d["mode"],
-            t_hundredths=d.get("t_hundredths"),
-            sp=d.get("sp"),
-            origin_hundredths=d.get("origin_hundredths", 0),
-            span_hundredths=d.get("span_hundredths"),
-        )
+        """Inverse of ``to_json``; raises DataError unless the text is a scheme with whole widths >= 1."""
+        try:
+            d = json.loads(text)
+            scheme = cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"not a quantization scheme: {exc}") from exc
+        if scheme.mode not in (FIXED_INTERVAL, FIXED_COUNT):
+            raise DataError(f"scheme mode must be {FIXED_INTERVAL!r} or {FIXED_COUNT!r}, got {scheme.mode!r}")
+        k, w = scheme._width()
+        if not all(type(v) is int for v in (k, w, scheme.origin_hundredths)) or min(k, w) < 1:
+            raise DataError(f"scheme widths and counts must be whole numbers >= 1: {scheme}")
+        return scheme
 
 
 @dataclass(frozen=True)
@@ -124,14 +110,9 @@ def fixed_count_scheme(train_prices_hundredths: Sequence[int], sp: int) -> Quant
     return QuantizationScheme(mode=FIXED_COUNT, sp=int(sp), origin_hundredths=lo, span_hundredths=hi - lo)
 
 
-def _series_prices(series) -> np.ndarray:
-    prices = getattr(series, "prices_hundredths", series)
-    return np.asarray(prices, dtype=np.int64)
-
-
 def quantize_with(series, scheme: QuantizationScheme) -> QuantizedSequence:
     """Quantize a price series (or raw hundredths array) under an existing scheme."""
-    states = scheme.states_of(_series_prices(series))
+    states = scheme.states_of(getattr(series, "prices_hundredths", series))
     return QuantizedSequence(states=states, scheme=scheme, n_distinct=int(len(np.unique(states))))
 
 
@@ -146,7 +127,7 @@ def quantize_fixed_count(series, sp: int, train_end: int) -> QuantizedSequence:
     Test prices above the training range keep extending the state space;
     prices below it clamp to state 0.
     """
-    prices = _series_prices(series)
+    prices = getattr(series, "prices_hundredths", series)
     if train_end < 2:
         raise ValueError("train_end must be >= 2")
     scheme = fixed_count_scheme(prices[:train_end], sp)

@@ -211,6 +211,17 @@ def test_ingest_expands_globs_and_reports_missing_files(workspace, capsys):
     assert "input file not found: missing.csv" in capsys.readouterr().err
 
 
+BAD_SCHEMES = {
+    "no-mode.json": "{}",
+    "no-width.json": '{"mode": "fixed_interval"}',
+    "not-an-object.json": "[1]",
+    "zero-count.json": '{"mode": "fixed_count", "sp": 0, "span_hundredths": 5}',
+    "unknown-mode.json": '{"mode": "log", "t_hundredths": 1}',
+    "fractional-width.json": '{"mode": "fixed_interval", "t_hundredths": 0.5}',
+    "not-json.json": "mode = fixed_interval",
+}
+
+
 @pytest.mark.parametrize(
     "argv, needle",
     [
@@ -222,6 +233,7 @@ def test_ingest_expands_globs_and_reports_missing_files(workspace, capsys):
         (["predict", "--model", "mc", "--input", "nope.csv", "--train-end", "4"], "nope.csv"),
         (["evaluate", "--trace", "trace.csv", "--scheme", "nope.json"], "nope.json"),
         (["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--prices", "nope.txt"], "nope.txt"),
+        *((["evaluate", "--trace", "trace.csv", "--scheme", name], "scheme") for name in BAD_SCHEMES),
     ],
     ids=[
         "missing-file",
@@ -232,6 +244,7 @@ def test_ingest_expands_globs_and_reports_missing_files(workspace, capsys):
         "predict-missing-input",
         "evaluate-missing-scheme",
         "evaluate-missing-prices",
+        *BAD_SCHEMES,
     ],
 )
 def test_unreadable_input_csv_is_data_error(workspace, capsys, argv, needle):
@@ -239,9 +252,19 @@ def test_unreadable_input_csv_is_data_error(workspace, capsys, argv, needle):
     Path("no_predicted.csv").write_text("index,actual\n3,1\n")
     Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
     Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
+    for name, text in BAD_SCHEMES.items():
+        Path(name).write_text(text)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and needle in err
+
+
+def test_unwritable_out_is_config_error(workspace, capsys):
+    Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
+    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
+    assert main(["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--out", "no_dir/x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: no_dir/x.csv: ") and "Traceback" not in err
 
 
 def test_partial_failure_still_writes_reports(workspace):

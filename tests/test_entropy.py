@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tickpred.entropy import estimate_entropy, match_lengths, match_lengths_fast
 from tickpred.quantize import quantize_fixed
@@ -71,6 +73,12 @@ def test_three_way_equivalence_on_random_sequences():
         expected = brute_match_lengths(seq)
         assert match_lengths(seq).tolist() == expected
         assert match_lengths_fast(seq).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=300)))
+def test_fast_match_lengths_equal_reference(seq):
+    assert match_lengths_fast(seq).tolist() == match_lengths(seq).tolist()
 
 
 def test_large_state_ids_are_fine():

@@ -341,6 +341,26 @@ def test_torn_manifest_recomputes_only_unfinished_stocks(fixture_csv, tmp_path, 
     assert _tree(config.output_dir) == before
 
 
+def test_rerun_recomputes_only_stocks_whose_input_changed(fixture_csv, tmp_path, monkeypatch):
+    config = _config(fixture_csv, tmp_path)
+    run_all(config)
+    def doubled(row):  # same path, same config, new prices for one stock
+        code_time, price = row.rsplit(",", 1)
+        return f"{code_time},{2 * float(price):.2f}" if code_time.startswith("600000,") else row
+
+    fixture_csv.write_text("".join(doubled(row) + "\n" for row in fixture_csv.read_text().splitlines()))
+
+    computed = _record_computed(monkeypatch)
+    run_all(config)
+    assert computed == ["600000"]
+    run_all(config)
+    assert computed == ["600000"]  # an unchanged rerun recomputes nothing
+    fresh = _config(fixture_csv, tmp_path, out="fresh")
+    run_all(fresh)
+    subdirs = ("reports", "plots", "per_stock", "series")
+    assert _tree(config.output_dir, subdirs) == _tree(fresh.output_dir, subdirs)
+
+
 def test_per_stock_json_is_loadable(fixture_csv, tmp_path):
     config = _config(fixture_csv, tmp_path, out="out_json")
     run_all(config)

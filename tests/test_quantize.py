@@ -29,9 +29,9 @@ def test_interval_below_precision_rejected():
 
 
 def test_fixed_count_derived_width():
-    scheme = fixed_count_scheme([1000, 1500], 100)
-    assert scheme.interval_cny == pytest.approx(0.05)
-    assert scheme.origin_cny == pytest.approx(10.0)
+    scheme = fixed_count_scheme([1000, 1500], 100)  # 100 buckets of 0.05 CNY from 10.00
+    assert scheme.states_of([1000, 1004, 1005, 1499]).tolist() == [0, 0, 1, 99]
+    assert scheme.prices_of([0, 1, 99]).tolist() == pytest.approx([10.025, 10.075, 14.975])
 
 
 def test_fixed_count_edges_and_extension():
