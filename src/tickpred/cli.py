@@ -18,16 +18,9 @@ import numpy as np
 from .entropy import estimate_entropy
 from .errors import ConfigError, DataError, read_text
 from .evaluate import evaluate_trace
-from .features import (
-    FEATURE_HEADER,
-    build_feature_table,
-    correlate_features,
-    load_metadata,
-    load_per_stock_dir,
-    read_csv_dicts,
-)
+from .features import FEATURE_HEADER, correlate_features, load_metadata, load_per_stock_dir, read_csv_dicts
 from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceSeries, filter_series, load_series
-from .pipeline import PipelineConfig, run_all, write_csv, write_json_mirror
+from .pipeline import PipelineConfig, run_all, stock_rows, write_csv, write_json_mirror
 from .predict import PredictionTrace, run_protocol
 from .predictability import fano_solve
 from .quantize import QuantizationScheme, fixed_interval_scheme, quantize_fixed_count, quantize_with
@@ -190,12 +183,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_features(args) -> int:
-    per_stock = load_per_stock_dir(args.per_stock)
-    metadata = load_metadata(args.metadata) if args.metadata else None
-    rows = build_feature_table(per_stock, args.setting, metadata)
+    units, _ = stock_rows(load_per_stock_dir(args.per_stock), [args.setting])
+    metadata = load_metadata(args.metadata) if args.metadata else {}
+    # the rows of predictability.csv; a stock missing from the metadata keeps blank company fields
+    rows = [{**u, **metadata.get(u["stock_code"], {})} for u in units if "reason" not in u]
     if not rows:
         raise DataError(f"no stocks kept under setting {args.setting!r}")
-    write_csv(args.out or sys.stdout, FEATURE_HEADER, [[r[k] for k in FEATURE_HEADER] for r in rows])
+    write_csv(args.out or sys.stdout, FEATURE_HEADER, [[r.get(k, "") for k in FEATURE_HEADER] for r in rows])
     return 0
 
 
@@ -339,10 +333,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # DataError included
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # an output that cannot be written; unreadable inputs raise DataError

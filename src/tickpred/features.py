@@ -1,4 +1,4 @@
-"""Assemble the per-stock feature table and run the cross-stock analyses.
+"""Load the feature table's inputs and run the cross-stock analyses.
 
 The feature table joins price-derived features (average price, volatility),
 user-supplied company metadata (life, scale, category, region) and model
@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, read_text
+from .pipeline import stock_rows
 from .stats import PRICE_BIN_EDGES, VOLATILITY_BIN_EDGES, anova_oneway, bin_feature, spearman
 
 FEATURE_HEADER = [
@@ -51,7 +52,10 @@ def read_csv_dicts(path, required: tuple[str, ...] = ()) -> list[dict[str, str]]
 
 
 def load_metadata(path) -> dict[str, dict[str, float]]:
-    """Side CSV with stock_code,life,scale,category,region columns."""
+    """Side CSV with stock_code,life,scale,category,region columns.
+
+    Raises DataError naming the file and the stock when a value is not a number or out of range.
+    """
     from .stats import N_CATEGORIES, N_REGIONS
 
     rows = read_csv_dicts(path, required=("stock_code", "life", "scale", "category", "region"))
@@ -59,84 +63,51 @@ def load_metadata(path) -> dict[str, dict[str, float]]:
         raise DataError(f"{path}: empty metadata file")
     out = {}
     for row in rows:
-        category = int(row["category"])
-        region = int(row["region"])
-        if not 1 <= category <= N_CATEGORIES:
-            raise DataError(f"{path}: category {category} outside 1..{N_CATEGORIES} for {row['stock_code']}")
-        if not 1 <= region <= N_REGIONS:
-            raise DataError(f"{path}: region {region} outside 1..{N_REGIONS} for {row['stock_code']}")
-        out[row["stock_code"]] = {
-            "life": float(row["life"]),
-            "scale": float(row["scale"]),
-            "category": category,
-            "region": region,
-        }
+        code = row["stock_code"]
+        meta = {}
+        for key, kind in (("life", float), ("scale", float), ("category", int), ("region", int)):
+            try:
+                meta[key] = kind(row[key])
+            except (TypeError, ValueError):  # TypeError: a short row leaves the field None
+                raise DataError(f"{path}: {key} {row[key]!r} is not a number for {code}") from None
+        for key, top in (("category", N_CATEGORIES), ("region", N_REGIONS)):
+            if not 1 <= meta[key] <= top:
+                raise DataError(f"{path}: {key} {meta[key]} outside 1..{top} for {code}")
+        out[code] = meta
     return out
-
-
-def build_feature_table(
-    per_stock: dict[str, dict],
-    setting_label: str,
-    metadata: dict[str, dict[str, float]] | None = None,
-) -> list[dict]:
-    """One row per stock that was kept under ``setting_label``.
-
-    ``per_stock`` holds the pipeline's per-stock result dicts. Stocks missing
-    from the metadata (when given) keep blank company fields.
-    """
-    rows = []
-    for code in sorted(per_stock):
-        result = per_stock[code]
-        entry = result["settings"].get(setting_label)
-        if entry is None or entry.get("dropped"):
-            continue
-        meta = (metadata or {}).get(code, {})
-        rows.append(
-            {
-                "stock_code": code,
-                "avgprice": result["avgprice"],
-                "volatility": result["volatility"],
-                "life": meta.get("life", ""),
-                "scale": meta.get("scale", ""),
-                "category": meta.get("category", ""),
-                "region": meta.get("region", ""),
-                "acc_mc": entry["models"]["mc"]["acc"],
-                "acc_dk": entry["models"]["dk"]["acc"],
-                "pi_max": entry["pi_max"],
-            }
-        )
-    return rows
 
 
 def correlate_features(rows: list[dict], target: str = "acc_dk") -> dict:
     """Spearman for quantitative features and ANOVA for categorical ones.
 
-    Rows lacking a feature are skipped per feature.
+    A row whose feature or target is missing, empty or None is skipped for that feature.
     """
     if not rows:
         raise DataError("empty feature table")
     out: dict = {"target": target, "spearman": [], "anova": [], "binned": {}}
 
-    for feature in QUANTITATIVE:
-        pairs = [
-            (float(r[feature]), float(r[target]))
+    def pairs(feature: str) -> list[tuple]:
+        """(feature value, target) of each row that holds both."""
+        return [
+            (r[feature], float(r[target]))
             for r in rows
             if r.get(feature) not in ("", None) and r.get(target) not in ("", None)
         ]
-        if len(pairs) < 3:
+
+    for feature in QUANTITATIVE:
+        held = pairs(feature)
+        if len(held) < 3:
             continue
         try:
-            coef = spearman([p[0] for p in pairs], [p[1] for p in pairs])
+            coef = spearman([float(x) for x, _ in held], [y for _, y in held])
         except ValueError:
             continue
-        out["spearman"].append({"feature": feature, "coefficient": coef, "n": len(pairs)})
+        out["spearman"].append({"feature": feature, "coefficient": coef, "n": len(held)})
 
     for feature in CATEGORICAL:
         groups: dict[int, list[float]] = {}
-        for r in rows:
-            if r.get(feature) in ("", None) or r.get(target) in ("", None):
-                continue
-            groups.setdefault(int(r[feature]), []).append(float(r[target]))
+        for x, y in pairs(feature):
+            groups.setdefault(int(x), []).append(y)
         if len(groups) < 2 or sum(len(v) for v in groups.values()) <= len(groups):
             continue
         res = anova_oneway(groups)
@@ -152,17 +123,13 @@ def correlate_features(rows: list[dict], target: str = "acc_dk") -> dict:
         )
 
     for feature, edges in (("avgprice", PRICE_BIN_EDGES), ("volatility", VOLATILITY_BIN_EDGES)):
-        pairs = [
-            (float(r[feature]), float(r[target]))
-            for r in rows
-            if r.get(feature) not in ("", None) and r.get(target) not in ("", None)
-        ]
-        if not pairs:
+        held = pairs(feature)
+        if not held:
             continue
-        indices = bin_feature([p[0] for p in pairs], edges)
+        indices = bin_feature([float(x) for x, _ in held], edges)
         table = []
         for idx in sorted(set(indices)):
-            values = np.asarray([p[1] for p, i in zip(pairs, indices) if i == idx])
+            values = np.asarray([y for (_, y), i in zip(held, indices) if i == idx])
             table.append(
                 {
                     "index": idx,
@@ -176,10 +143,19 @@ def correlate_features(rows: list[dict], target: str = "acc_dk") -> dict:
 
 
 def load_per_stock_dir(path) -> dict[str, dict]:
-    """Read back the pipeline's per_stock/*.json results."""
+    """Read back the pipeline's per_stock/*.json results.
+
+    Raises DataError naming a file that is not JSON or not a per-stock result.
+    """
     out = {}
     for p in sorted(Path(path).glob("*.json")):
-        out[p.stem] = json.loads(p.read_text(encoding="utf-8"))
+        text = read_text(p)
+        try:
+            result = json.loads(text)
+            stock_rows({p.stem: result}, list(result["settings"]))  # reads every field a report needs
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise DataError(f"{p}: not a per-stock result ({type(exc).__name__}: {exc})") from None
+        out[p.stem] = result
     if not out:
         raise DataError(f"{path}: no per-stock result files")
     return out

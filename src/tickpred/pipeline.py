@@ -316,38 +316,51 @@ def process_stock(series: PriceSeries, config: PipelineConfig) -> dict:
     return result
 
 
-def emit_summary(eval_rows: list[dict], pred_rows: list[dict]) -> list[dict]:
-    """Arithmetic means per (setting, model) plus the share of low-entropy stocks.
+def stock_rows(results: dict[str, dict], labels: list[str]) -> tuple[list[dict], list[dict]]:
+    """Flatten per-stock results in (stock, setting, model) order, settings in ``labels`` order.
 
-    Settings come in their order of first appearance in ``eval_rows``.
+    ``units`` has one row per (stock, setting) with ``avgprice``, ``volatility``
+    and either the drop ``reason`` or ``n, n_distinct, s_est, pi_max, acc_<model>``;
+    ``evals`` has one row per kept (stock, setting, model) with that model's
+    metrics. A setting missing from a result gives no rows. The fixed order keeps
+    rows identical whether a result was computed this run or read back from JSON.
     """
-    if not eval_rows:
-        raise ValueError("no evaluation rows to summarise")
-    out = []
-    for setting in dict.fromkeys(r["setting"] for r in eval_rows):
-        preds = [r for r in pred_rows if r["setting"] == setting]
-        share_low = (
-            sum(1 for r in preds if r["s_est"] < 2.0) / len(preds) if preds else float("nan")
-        )
-        mean_pi = float(np.mean([r["pi_max"] for r in preds])) if preds else float("nan")
-        for model in MODELS:
-            rows = [r for r in eval_rows if r["setting"] == setting and r["model"] == model]
-            if not rows:
+    units: list[dict] = []
+    evals: list[dict] = []
+    for code in sorted(results):
+        result = results[code]
+        for label in labels:
+            entry = result["settings"].get(label)
+            if entry is None:
                 continue
-            ratios = [r["rmse_ratio_permille"] for r in rows if r["rmse_ratio_permille"] is not None]
-            out.append(
-                {
-                    "setting": setting,
-                    "model": model,
-                    "n_stocks": len(rows),
-                    "mean_acc": float(np.mean([r["acc"] for r in rows])),
-                    "mean_pi_max": mean_pi,
-                    "mean_rmse": float(np.mean([r["rmse"] for r in rows])),
-                    "mean_rmse_ratio_permille": float(np.mean(ratios)) if ratios else float("nan"),
-                    "share_s_est_lt_2": share_low,
-                }
-            )
-    return out
+            unit = {"stock_code": code, "setting": label, "avgprice": result["avgprice"], "volatility": result["volatility"]}
+            units.append(unit)
+            if entry.get("dropped"):
+                unit["reason"] = entry["dropped"]
+                continue
+            models = entry["models"]
+            unit.update({k: entry[k] for k in PRED_HEADER[2:]})
+            unit.update({f"acc_{m}": models[m]["acc"] for m in MODELS})
+            evals.extend({"stock_code": code, "setting": label, "model": m, **models[m]} for m in MODELS)
+    return units, evals
+
+
+def summary_row(setting: str, model: str, preds: list[dict], rows: list[dict]) -> dict:
+    """Arithmetic means of one (setting, model) group's evaluation ``rows``.
+
+    ``preds`` are the kept units of that setting; they give the mean ceiling and
+    the share of stocks whose entropy is below 2 bits.
+    """
+    return {
+        "setting": setting,
+        "model": model,
+        "n_stocks": len(rows),
+        "mean_acc": float(np.mean([r["acc"] for r in rows])),
+        "mean_pi_max": float(np.mean([r["pi_max"] for r in preds])),
+        "mean_rmse": float(np.mean([r["rmse"] for r in rows])),
+        "mean_rmse_ratio_permille": float(np.mean([r["rmse_ratio_permille"] for r in rows])),
+        "share_s_est_lt_2": sum(1 for r in preds if r["s_est"] < 2.0) / len(preds),
+    }
 
 
 def _histogram_rows(values: list[float], width: float) -> list[dict]:
@@ -404,6 +417,11 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
         except (json.JSONDecodeError, OSError):
             pass  # a per-stock JSON that is gone or unreadable is recomputed
     pending = [code for code in sorted(all_series) if code not in results]
+    # before any manifest line goes out, so these directories hold only stocks recorded as done
+    for sub, suffix in (("per_stock", ".json"), ("series", ".csv")):
+        for path in (out_dir / sub).glob(f"*{suffix}"):
+            if path.stem not in results:
+                path.unlink()
 
     with open(manifest_path, "w", encoding="utf-8", newline="") as log:
         # one line per stock as it is reused, finished or failed; a "done"
@@ -443,43 +461,26 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
 
 def _write_reports(out_dir: Path, config: PipelineConfig, results: dict[str, dict], json_mirror: bool) -> None:
     settings = config.settings()
-    labels = [s.label for s in settings]
-    eval_rows: list[dict] = []
-    pred_rows: list[dict] = []
-    drop_rows: list[dict] = []
-    for code in sorted(results):
-        # fixed setting and model order keeps rows identical whether a result
-        # was computed this run or reloaded from a per-stock JSON
-        for label in labels:
-            entry = results[code]["settings"].get(label)
-            if entry is None:
-                continue
-            if entry.get("dropped"):
-                drop_rows.append({"stock_code": code, "setting": label, "reason": entry["dropped"]})
-                continue
-            models = entry["models"]
-            pred = {"stock_code": code, "setting": label, **{k: entry[k] for k in PRED_HEADER[2:]}}
-            pred_rows.append({**pred, **{f"acc_{m}": models[m]["acc"] for m in MODELS}})  # acc_* feed the plots
-            eval_rows.extend({"stock_code": code, "setting": label, "model": m, **models[m]} for m in MODELS)
-
-    # summary rows follow the config's setting order, whichever stock comes first
-    by_setting = sorted(eval_rows, key=lambda r: labels.index(r["setting"]))
-    summary = emit_summary(by_setting, pred_rows) if eval_rows else []
+    units, evals = stock_rows(results, [s.label for s in settings])
+    kept = [u for u in units if "reason" not in u]
+    summary: list[dict] = []  # one row per (setting, model) group, filled below
     tables = [
-        ("reports/evaluation.csv", EVAL_HEADER, eval_rows),
-        ("reports/predictability.csv", PRED_HEADER, pred_rows),
-        ("reports/drops.csv", DROP_HEADER, drop_rows),
+        ("reports/evaluation.csv", EVAL_HEADER, evals),
+        ("reports/predictability.csv", PRED_HEADER, kept),
+        ("reports/drops.csv", DROP_HEADER, [u for u in units if "reason" in u]),
         ("reports/summary.csv", SUMMARY_HEADER, summary),
     ]
     for setting in settings:
         label, slug = setting.label, setting.slug
-        preds = [r for r in pred_rows if r["setting"] == label]
+        preds = [u for u in kept if u["setting"] == label]
         tables += [
             (f"plots/entropy_hist_{slug}.csv", HIST_HEADER, _histogram_rows([r["s_est"] for r in preds], 0.1)),
             (f"plots/acc_vs_pimax_{slug}.csv", ["stock_code", "pi_max", *(f"acc_{m}" for m in MODELS)], preds),
         ]
         for model in MODELS:
-            rows = [r for r in eval_rows if r["setting"] == label and r["model"] == model]
+            rows = [r for r in evals if r["setting"] == label and r["model"] == model]
+            if rows:
+                summary.append(summary_row(label, model, preds, rows))
             tables += [
                 (f"plots/rmse_hist_{slug}_{model}.csv", HIST_HEADER, _histogram_rows([r["rmse"] for r in rows], 0.01)),
                 (f"plots/acc_vs_rmse_{slug}_{model}.csv", ["stock_code", "acc", "rmse"], rows),

@@ -1,7 +1,11 @@
+import csv
+import json
+
 import pytest
 
+from tickpred.cli import main
 from tickpred.errors import DataError
-from tickpred.features import build_feature_table, correlate_features, load_metadata
+from tickpred.features import correlate_features, load_metadata
 
 
 def _per_stock(code, acc_mc, acc_dk, pi, avgprice=10.0, vol=0.01, dropped=None):
@@ -12,11 +16,20 @@ def _per_stock(code, acc_mc, acc_dk, pi, avgprice=10.0, vol=0.01, dropped=None):
         "settings": {
             "T=0.05": {
                 "dropped": dropped,
+                "n": 100,
+                "n_distinct": 6,
+                "s_est": 1.5,
                 "pi_max": pi,
                 "models": {"mc": {"acc": acc_mc}, "dk": {"acc": acc_dk}},
             }
         },
     }
+
+
+def _write_per_stock(directory, **results):
+    directory.mkdir()
+    for code, result in results.items():
+        (directory / f"{code}.json").write_text(json.dumps(result))
 
 
 def test_load_metadata_validates_ranges(tmp_path):
@@ -37,17 +50,49 @@ def test_load_metadata_validates_ranges(tmp_path):
         load_metadata(bad)
 
 
-def test_build_feature_table_skips_dropped_and_joins_metadata():
-    per_stock = {
-        "A": _per_stock("A", 0.6, 0.65, 0.8),
-        "B": _per_stock("B", 0.7, 0.72, 0.9, dropped="too short"),
-        "C": _per_stock("C", 0.5, 0.55, 0.7),
-    }
-    rows = build_feature_table(per_stock, "T=0.05", {"A": {"life": 3, "scale": 100, "category": 1, "region": 2}})
+def test_features_command_skips_dropped_and_joins_metadata(tmp_path):
+    _write_per_stock(
+        tmp_path / "per_stock",
+        A=_per_stock("A", 0.6, 0.65, 0.8),
+        B=_per_stock("B", 0.7, 0.72, 0.9, dropped="too short"),
+        C=_per_stock("C", 0.5, 0.55, 0.7),
+    )
+    (tmp_path / "meta.csv").write_text("stock_code,life,scale,category,region\nA,3,100,1,2\n")
+    out = tmp_path / "features.csv"
+    argv = ["features", "--per-stock", str(tmp_path / "per_stock"), "--setting", "T=0.05", "--out", str(out)]
+    assert main([*argv, "--metadata", str(tmp_path / "meta.csv")]) == 0
+    with open(out, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
     assert [r["stock_code"] for r in rows] == ["A", "C"]
-    assert rows[0]["life"] == 3
-    assert rows[1]["life"] == ""  # no metadata for C
-    assert rows[0]["acc_dk"] == 0.65
+    assert (rows[0]["life"], rows[0]["category"], rows[0]["acc_dk"]) == ("3", "1", "0.65")
+    assert [rows[1][k] for k in ("life", "scale", "category", "region")] == ["", "", "", ""]  # no metadata for C
+    assert main(argv) == 0  # no metadata file: every company field blank
+    assert out.read_text().splitlines()[1] == "A,10,0.01,,,,,0.6,0.65,0.8"
+
+
+@pytest.mark.parametrize(
+    "per_stock, metadata, needles",
+    [
+        ({"drops": [{"reason": "too short", "setting": "T=0.05", "stock_code": "A"}]}, None, ["drops.json"]),
+        ({"A": '{"stock_code": "A", "settings": {'}, None, ["A.json", "Expecting"]),
+        ({"A": {"stock_code": "A", "settings": {"T=0.05": {"dropped": None}}}}, None, ["A.json"]),
+        ({"A": _per_stock("A", 0.6, 0.65, 0.8)}, "A,3,100,x,2", ["meta.csv", "A", "category"]),
+        ({"A": _per_stock("A", 0.6, 0.65, 0.8)}, "A,3", ["meta.csv", "A"]),
+    ],
+    ids=["report-mirror", "truncated-json", "no-models", "category-not-a-number", "short-metadata-row"],
+)
+def test_features_data_errors_name_their_file(tmp_path, capsys, per_stock, metadata, needles):
+    directory = tmp_path / "per_stock"
+    directory.mkdir()
+    for name, content in per_stock.items():
+        (directory / f"{name}.json").write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = ["features", "--per-stock", str(directory), "--setting", "T=0.05"]
+    if metadata is not None:
+        (tmp_path / "meta.csv").write_text(f"stock_code,life,scale,category,region\n{metadata}\n")
+        argv += ["--metadata", str(tmp_path / "meta.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and all(needle in err for needle in needles), err
 
 
 def test_correlate_features_directions():

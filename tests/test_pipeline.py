@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tickpred import pipeline
 from tickpred.errors import ConfigError
-from tickpred.pipeline import PipelineConfig, QuantizationSetting, child_seed, emit_summary, process_stock, run_all
+from tickpred.pipeline import PipelineConfig, QuantizationSetting, child_seed, process_stock, run_all
 from tickpred.synthetic import write_tick_fixture
 
 
@@ -93,40 +96,66 @@ def test_child_seed_is_stable_and_distinct():
     assert child_seed(7, "A", "T=0.01", "dk") != child_seed(8, "A", "T=0.01", "dk")
 
 
-# -- emit_summary -------------------------------------------------------------
+# -- stock_rows and summary_row -----------------------------------------------
 
 
-def test_emit_summary_single_stock_means_pass_through():
-    eval_rows = [
+def _result(code, dropped=None):
+    models = {m: {"acc": 0.5, "rmse": 0.02, "rmse_ratio_permille": 2.0, "n_test": 10} for m in ("mc", "dk")}
+    kept = {"dropped": None, "n": 100, "n_distinct": 6, "s_est": 1.5, "pi_max": 0.9, "models": models}
+    return {
+        "stock_code": code,
+        "avgprice": 10.0,
+        "volatility": 0.01,
+        "settings": {"T=0.05": kept, "T=0.01": {"dropped": dropped} if dropped else kept},
+    }
+
+
+def test_stock_rows_order_and_drops():
+    units, evals = pipeline.stock_rows({"B": _result("B", dropped="too short"), "A": _result("A")}, ["T=0.01", "T=0.05"])
+    assert [(u["stock_code"], u["setting"]) for u in units] == [("A", "T=0.01"), ("A", "T=0.05"), ("B", "T=0.01"), ("B", "T=0.05")]
+    assert units[2] == {"stock_code": "B", "setting": "T=0.01", "avgprice": 10.0, "volatility": 0.01, "reason": "too short"}
+    assert units[3] == {
+        "stock_code": "B", "setting": "T=0.05", "avgprice": 10.0, "volatility": 0.01,
+        "n": 100, "n_distinct": 6, "s_est": 1.5, "pi_max": 0.9, "acc_mc": 0.5, "acc_dk": 0.5,
+    }
+    assert [(r["stock_code"], r["setting"], r["model"]) for r in evals] == [
+        ("A", "T=0.01", "mc"), ("A", "T=0.01", "dk"), ("A", "T=0.05", "mc"), ("A", "T=0.05", "dk"),
+        ("B", "T=0.05", "mc"), ("B", "T=0.05", "dk"),
+    ]
+    assert pipeline.stock_rows({"A": _result("A")}, ["SP=20"]) == ([], [])  # a setting the result lacks
+
+
+def test_summary_row_single_stock_means_pass_through():
+    rows = [{"stock_code": "A", "setting": "T=0.01", "model": "mc", "acc": 0.6, "rmse": 0.02, "rmse_ratio_permille": 2.0, "n_test": 10}]
+    preds = [{"stock_code": "A", "setting": "T=0.01", "n": 100, "n_distinct": 12, "s_est": 1.5, "pi_max": 0.9}]
+    assert pipeline.summary_row("T=0.01", "mc", preds, rows) == {
+        "setting": "T=0.01",
+        "model": "mc",
+        "n_stocks": 1,
+        "mean_acc": 0.6,
+        "mean_pi_max": 0.9,
+        "mean_rmse": 0.02,
+        "mean_rmse_ratio_permille": 2.0,
+        "share_s_est_lt_2": 1.0,
+    }
+
+
+def test_summary_row_two_stock_mean():
+    rows = [
         {"stock_code": "A", "setting": "T=0.01", "model": "mc", "acc": 0.6, "rmse": 0.02, "rmse_ratio_permille": 2.0, "n_test": 10},
-        {"stock_code": "A", "setting": "T=0.01", "model": "dk", "acc": 0.7, "rmse": 0.03, "rmse_ratio_permille": 3.0, "n_test": 10},
+        {"stock_code": "B", "setting": "T=0.01", "model": "mc", "acc": 0.8, "rmse": 0.04, "rmse_ratio_permille": 3.0, "n_test": 10},
     ]
-    pred_rows = [{"stock_code": "A", "setting": "T=0.01", "n": 100, "n_distinct": 12, "s_est": 1.5, "pi_max": 0.9}]
-    summary = emit_summary(eval_rows, pred_rows)
-    mc = next(r for r in summary if r["model"] == "mc")
-    assert mc["mean_acc"] == 0.6
-    assert mc["mean_pi_max"] == 0.9
-    assert mc["share_s_est_lt_2"] == 1.0
-
-
-def test_emit_summary_two_stock_mean():
-    eval_rows = [
-        {"stock_code": "A", "setting": "T=0.01", "model": "mc", "acc": 0.6, "rmse": 0.02, "rmse_ratio_permille": None, "n_test": 10},
-        {"stock_code": "B", "setting": "T=0.01", "model": "mc", "acc": 0.8, "rmse": 0.04, "rmse_ratio_permille": None, "n_test": 10},
-    ]
-    pred_rows = [
+    preds = [
         {"stock_code": "A", "setting": "T=0.01", "n": 100, "n_distinct": 12, "s_est": 1.5, "pi_max": 0.8},
         {"stock_code": "B", "setting": "T=0.01", "n": 100, "n_distinct": 12, "s_est": 2.5, "pi_max": 0.6},
     ]
-    summary = emit_summary(eval_rows, pred_rows)
-    assert summary[0]["mean_acc"] == pytest.approx(0.7)
-    assert summary[0]["mean_pi_max"] == pytest.approx(0.7)
-    assert summary[0]["share_s_est_lt_2"] == pytest.approx(0.5)
-
-
-def test_emit_summary_rejects_empty():
-    with pytest.raises(ValueError, match="no evaluation rows"):
-        emit_summary([], [])
+    summary = pipeline.summary_row("T=0.01", "mc", preds, rows)
+    assert summary["n_stocks"] == 2
+    assert summary["mean_acc"] == pytest.approx(0.7)
+    assert summary["mean_pi_max"] == pytest.approx(0.7)
+    assert summary["mean_rmse"] == pytest.approx(0.03)
+    assert summary["mean_rmse_ratio_permille"] == pytest.approx(2.5)
+    assert summary["share_s_est_lt_2"] == pytest.approx(0.5)
 
 
 # -- run_all ------------------------------------------------------------------
@@ -246,6 +275,51 @@ def test_summary_follows_config_setting_order(fixture_csv, tmp_path):
     assert summary == [["T=0.05", "mc"], ["T=0.05", "dk"], ["T=0.01", "mc"], ["T=0.01", "dk"]]
 
 
+SUBDIRS = ("reports", "plots", "per_stock", "series")
+
+
+@pytest.fixture(scope="module")
+def layout_reference(tmp_path_factory):
+    """A single-file, single-worker run that every row layout and worker count must reproduce."""
+    root = tmp_path_factory.mktemp("layout")
+    write_tick_fixture(root / "ticks.csv", ticks_per_day=150)
+    config = PipelineConfig(
+        inputs=(str(root / "ticks.csv"),),
+        intervals=(0.01, 0.05),
+        state_count=20,
+        min_length=100,
+        min_states=5,
+        dk_epochs=2,
+        seed=7,
+        output_dir=str(root / "reference"),
+    )
+    run_all(config)
+    return config
+
+
+@settings(max_examples=8, deadline=None)
+@given(layout_seed=st.integers(0, 2**32 - 1), n_files=st.integers(1, 3), workers=st.integers(1, 2))
+def test_outputs_do_not_depend_on_workers_or_row_layout(layout_reference, tmp_path_factory, layout_seed, n_files, workers):
+    config = layout_reference
+    header, *rows = Path(config.inputs[0]).read_text().splitlines(keepends=True)
+    rng = random.Random(layout_seed)
+    # a random interleaving of the stocks that keeps each stock's own rows in order
+    slots = [row.split(",", 1)[0] for row in rows]
+    rng.shuffle(slots)
+    queues = {code: iter([row for row in rows if row.startswith(f"{code},")]) for code in set(slots)}
+    mixed = [next(queues[code]) for code in slots]
+    cuts = [0, *sorted(rng.sample(range(1, len(mixed)), n_files - 1)), len(mixed)]
+    root = tmp_path_factory.mktemp("layout_run")
+    inputs = []
+    for i, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        inputs.append(str(root / f"part{i}.csv"))
+        Path(inputs[-1]).write_text(header + "".join(mixed[start:stop]))
+    run_all(dataclasses.replace(config, inputs=tuple(inputs), workers=workers, output_dir=str(root / "out")))
+    tree, reference = _tree(root / "out", SUBDIRS), _tree(config.output_dir, SUBDIRS)
+    assert sorted(tree) == sorted(reference)
+    assert [name for name in reference if tree[name] != reference[name]] == []
+
+
 def _record_computed(monkeypatch, fail_on=None):
     """Patch process_stock to log the stocks it computes; raise KeyboardInterrupt on ``fail_on``."""
     computed = []
@@ -359,6 +433,31 @@ def test_rerun_recomputes_only_stocks_whose_input_changed(fixture_csv, tmp_path,
     run_all(fresh)
     subdirs = ("reports", "plots", "per_stock", "series")
     assert _tree(config.output_dir, subdirs) == _tree(fresh.output_dir, subdirs)
+
+
+def _fail_at_600000(series, config):
+    if series.stock_code == "600000":
+        raise ValueError("no result")
+    return process_stock(series, config)
+
+
+@pytest.mark.parametrize("change", ["input", "config"])
+def test_rerun_keeps_files_only_of_done_stocks(fixture_csv, tmp_path, monkeypatch, change):
+    config = _config(fixture_csv, tmp_path)
+    run_all(config)
+    out = Path(config.output_dir)
+    stamps = {p: p.stat().st_mtime_ns for sub in ("per_stock", "series") for p in (out / sub).iterdir()}
+    if change == "input":  # same path and config; 600000 has left the input, the others are reused
+        rows = fixture_csv.read_text().splitlines(keepends=True)
+        fixture_csv.write_text("".join(row for row in rows if not row.startswith("600000,")))
+    else:  # a new config under which 600000 fails
+        config = dataclasses.replace(config, seed=8)
+        monkeypatch.setattr(pipeline, "process_stock", _fail_at_600000)
+    assert run_all(config).done == ["000001", "000002"]
+    for sub, suffix in (("per_stock", ".json"), ("series", ".csv")):
+        assert sorted(p.name for p in (out / sub).iterdir()) == [f"000001{suffix}", f"000002{suffix}"]
+    if change == "input":
+        assert all(p.stat().st_mtime_ns == stamps[p] for sub in ("per_stock", "series") for p in (out / sub).iterdir())
 
 
 def test_per_stock_json_is_loadable(fixture_csv, tmp_path):
