@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from .entropy import estimate_entropy
-from .errors import ConfigError, DataError, read_text
+from .errors import ConfigError, DataError, read_table, read_text
 from .evaluate import evaluate_trace
-from .features import FEATURE_HEADER, correlate_features, load_metadata, load_per_stock_dir, read_csv_dicts
+from .features import CATEGORICAL, FEATURE_HEADER, QUANTITATIVE, correlate_features, load_metadata, load_per_stock_dir
 from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceSeries, filter_series, load_series
 from .pipeline import PipelineConfig, run_all, stock_rows, write_csv, write_json_mirror
 from .predict import PredictionTrace, run_protocol
@@ -35,17 +36,14 @@ def _column(text: str):
     return int(text) if text.isdigit() else text
 
 
-def _read_column(path, kind=int) -> np.ndarray:
-    """One number per line (states, or prices with ``kind=float``) after an optional header row."""
-    lines = [ln.strip() for ln in read_text(path).splitlines() if ln.strip()]
-    if lines and not lines[0].lstrip("-").replace(".", "", 1).isdigit():
-        lines = lines[1:]  # header row
-    if not lines:
-        raise DataError(f"{path}: no values")
-    try:
-        return np.asarray([kind(x) for x in lines], dtype=np.int64 if kind is int else np.float64)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+def _read_states(path) -> np.ndarray:
+    """The ``state`` column of a states file."""
+    return np.asarray([r["state"] for r in read_table(path, {"state": int})], dtype=np.int64)
+
+
+def _blank_or(kind):
+    """``kind`` of a text value, or None for a blank one."""
+    return lambda text: kind(text) if text.strip() else None
 
 
 def cmd_ingest(args) -> int:
@@ -90,7 +88,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    states = _read_column(args.input)
+    states = _read_states(args.input)
     est = estimate_entropy(states)
     code = Path(args.input).stem
     header = ["stock_code", "n", "n_distinct", "s_est"]
@@ -103,20 +101,14 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_predictability(args) -> int:
-    rows = read_csv_dicts(args.entropy_file, required=("n_distinct", "s_est"))
-    if not rows:
-        raise DataError(f"{args.entropy_file}: no rows")
-    header = list(rows[0].keys()) + ["pi_max"]
-    out_rows = []
-    for row in rows:
-        pi = fano_solve(float(row["s_est"]), int(row["n_distinct"]))
-        out_rows.append(list(row.values()) + [pi])
-    write_csv(args.out or sys.stdout, header, out_rows)
+    rows = read_table(args.entropy_file, {"n_distinct": int, "s_est": float})
+    out_rows = [[*row.values(), fano_solve(row["s_est"], row["n_distinct"])] for row in rows]
+    write_csv(args.out or sys.stdout, [*rows[0], "pi_max"], out_rows)
     return 0
 
 
 def cmd_predict(args) -> int:
-    states = _read_column(args.input)
+    states = _read_states(args.input)
     if args.train_end < 3:
         raise ConfigError("--train-end must be >= 3")
     dk = PipelineConfig(
@@ -147,35 +139,23 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.json and not args.out:
         raise ConfigError("--json writes a mirror of --out, so it needs --out")
-    rows = read_csv_dicts(args.trace, required=("index", "predicted", "actual"))
-    if not rows:
-        raise DataError(f"{args.trace}: empty trace")
-    predicted = np.asarray([int(r["predicted"]) for r in rows], dtype=np.int64)
-    actual = np.asarray([int(r["actual"]) for r in rows], dtype=np.int64)
-    trace = PredictionTrace(
-        stock_code=args.stock_code,
-        model=args.model,
-        predicted=predicted,
-        actual=actual,
-        start_index=int(rows[0]["index"]),
-    )
-    scheme = QuantizationScheme.from_json(read_text(args.scheme))
-    raw = None
-    mode = args.rmse_against or ("raw" if args.prices else "state")
-    if mode == "raw":
-        if not args.prices:
-            raise ConfigError("--rmse-against raw needs --prices")
-        raw = _read_column(args.prices, float)
-    report = evaluate_trace(trace, scheme, raw_prices=raw, avgprice=args.avgprice)
+    rows = read_table(args.trace, {"index": int, "predicted": int, "actual": int})
+    index, predicted, actual = (np.asarray([r[k] for r in rows], dtype=np.int64) for k in ("index", "predicted", "actual"))
+    trace = PredictionTrace(args.stock_code, args.model, predicted, actual, start_index=int(index[0]))
+    text = read_text(args.scheme)
+    try:
+        scheme = QuantizationScheme.from_json(text)
+    except DataError as exc:
+        raise DataError(f"{args.scheme}: {exc}") from None
+    raw = avgprice = None
+    if args.series:  # score as run-all does: against the raw prices, with the ratio to their mean
+        series = PriceSeries.from_interchange(args.series)
+        if index.min() < 0 or index.max() >= len(series):
+            raise DataError(f"{args.trace}: index outside the {len(series)} prices of {args.series}")
+        raw, avgprice = series.prices_cny[index], series.mean_price()
+    report = evaluate_trace(trace, scheme, raw_prices=raw, avgprice=avgprice)
     header = ["stock_code", "model", "acc", "rmse", "rmse_ratio_permille", "n_test"]
-    row = [
-        report.stock_code,
-        report.model,
-        report.acc,
-        report.rmse,
-        report.rmse_price_ratio if report.rmse_price_ratio is not None else "",
-        report.n_test,
-    ]
+    row = ["" if v is None else v for v in astuple(report)]  # the report's fields in header order
     write_csv(args.out or sys.stdout, header, [row])
     if args.json:
         write_json_mirror(Path(args.out).with_suffix(".json"), header, [row])
@@ -183,7 +163,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_features(args) -> int:
-    units, _ = stock_rows(load_per_stock_dir(args.per_stock), [args.setting])
+    results = load_per_stock_dir(args.per_stock)
+    units, _ = stock_rows(results, [args.setting])
+    if not units:
+        found = sorted({label for result in results.values() for label in result["settings"]})
+        raise DataError(f"{args.per_stock}: no result holds setting {args.setting!r}; settings found: {', '.join(found)}")
     metadata = load_metadata(args.metadata) if args.metadata else {}
     # the rows of predictability.csv; a stock missing from the metadata keeps blank company fields
     rows = [{**u, **metadata.get(u["stock_code"], {})} for u in units if "reason" not in u]
@@ -194,7 +178,9 @@ def cmd_features(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    rows = read_csv_dicts(args.features, required=(args.target,))
+    # every analysed column must be there; a blank value skips its row for that column
+    types = {**dict.fromkeys((*QUANTITATIVE, args.target), _blank_or(float)), **dict.fromkeys(CATEGORICAL, _blank_or(int))}
+    rows = read_table(args.features, types)
     result = correlate_features(rows, target=args.target)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -288,14 +274,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="accuracy and RMSE of a trace file")
     p.add_argument("--trace", required=True)
     p.add_argument("--scheme", required=True, help="scheme JSON from quantize --scheme-out")
-    p.add_argument(
-        "--rmse-against",
-        choices=("raw", "state"),
-        default=None,
-        help="ground truth for RMSE: raw prices (needs --prices) or dequantized actual states",
-    )
-    p.add_argument("--prices", default=None, help="raw CNY prices aligned with the trace")
-    p.add_argument("--avgprice", type=float, default=None)
+    p.add_argument("--series", default=None, help="the trace's interchange series: score RMSE as run-all does")
     p.add_argument("--stock-code", default="")
     p.add_argument("--model", default="")
     p.add_argument("--json", action="store_true")

@@ -10,14 +10,12 @@ distribution bins.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_text
+from .errors import DataError, read_table, read_text
 from .pipeline import stock_rows
 from .stats import PRICE_BIN_EDGES, VOLATILITY_BIN_EDGES, anova_oneway, bin_feature, spearman
 
@@ -36,19 +34,7 @@ FEATURE_HEADER = [
 
 QUANTITATIVE = ("avgprice", "volatility", "life", "scale")
 CATEGORICAL = ("category", "region")
-
-
-def read_csv_dicts(path, required: tuple[str, ...] = ()) -> list[dict[str, str]]:
-    """Rows of a UTF-8 CSV file with a header row, as dicts keyed by column name.
-
-    Raises DataError naming the file when it cannot be read or lacks a
-    ``required`` column.
-    """
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    missing = [c for c in required if c not in (reader.fieldnames or [])]
-    if missing:
-        raise DataError(f"{path}: missing columns {missing}")
-    return list(reader)
+METADATA_TYPES = {"life": float, "scale": float, "category": int, "region": int}
 
 
 def load_metadata(path) -> dict[str, dict[str, float]]:
@@ -58,23 +44,12 @@ def load_metadata(path) -> dict[str, dict[str, float]]:
     """
     from .stats import N_CATEGORIES, N_REGIONS
 
-    rows = read_csv_dicts(path, required=("stock_code", "life", "scale", "category", "region"))
-    if not rows:
-        raise DataError(f"{path}: empty metadata file")
-    out = {}
+    rows = read_table(path, {"stock_code": str, **METADATA_TYPES})
     for row in rows:
-        code = row["stock_code"]
-        meta = {}
-        for key, kind in (("life", float), ("scale", float), ("category", int), ("region", int)):
-            try:
-                meta[key] = kind(row[key])
-            except (TypeError, ValueError):  # TypeError: a short row leaves the field None
-                raise DataError(f"{path}: {key} {row[key]!r} is not a number for {code}") from None
         for key, top in (("category", N_CATEGORIES), ("region", N_REGIONS)):
-            if not 1 <= meta[key] <= top:
-                raise DataError(f"{path}: {key} {meta[key]} outside 1..{top} for {code}")
-        out[code] = meta
-    return out
+            if not 1 <= row[key] <= top:
+                raise DataError(f"{path}: {key} {row[key]} outside 1..{top} for {row['stock_code']}")
+    return {row["stock_code"]: {k: row[k] for k in METADATA_TYPES} for row in rows}
 
 
 def correlate_features(rows: list[dict], target: str = "acc_dk") -> dict:

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError, SchemaError, read_text
+from .errors import DataError, EmptyInputError, SchemaError, read_table
 from .quantize import QuantizationScheme
 
 DEFAULT_MIN_LENGTH = 1000  # ticks; roughly a quarter trading day
@@ -98,25 +98,12 @@ class PriceSeries:
     @classmethod
     def from_interchange(cls, path, stock_code: str | None = None) -> "PriceSeries":
         path = Path(path)
-        times: list[int] = []
-        prices: list[int] = []
-        lines = read_text(path).splitlines()
-        if not lines or not lines[0].strip():
-            raise EmptyInputError(f"{path}: empty interchange file")
-        for line in lines[1:]:
-            line = line.strip()
-            if not line:
-                continue
-            t, p = line.split(",")
-            times.append(int(t))
-            prices.append(int(p))
-        if not times:
-            raise EmptyInputError(f"{path}: no data rows")
-        epoch = np.asarray(times, dtype=np.int64)
+        rows = read_table(path, {"epoch_seconds": int, "price_hundredths": int})
+        epoch, prices = (np.asarray([r[k] for r in rows], dtype=np.int64) for k in ("epoch_seconds", "price_hundredths"))
         return cls(
             stock_code=stock_code if stock_code is not None else path.stem,
             epoch_seconds=epoch,
-            prices_hundredths=np.asarray(prices, dtype=np.int64),
+            prices_hundredths=prices,
             day_boundaries=_boundaries_from_epochs(epoch),
         )
 

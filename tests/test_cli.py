@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from tickpred.cli import main
+from tickpred.ingest import PriceSeries
 from tickpred.synthetic import write_tick_fixture
 
 
@@ -55,12 +56,79 @@ def test_full_subcommand_chain(workspace, capsys):
 
     assert main([
         "evaluate", "--trace", "trace.csv", "--scheme", "scheme.json",
-        "--stock-code", "000001", "--model", "mc", "--avgprice", "8.0",
+        "--stock-code", "000001", "--model", "mc", "--series", "series/000001.csv",
         "--out", "eval.csv", "--json",
     ]) == 0
     row = _read_rows("eval.csv")[0]
     assert 0.0 <= float(row["acc"]) <= 1.0
     assert json.loads(Path("eval.json").read_text())[0]["stock_code"] == "000001"
+
+
+def test_stage_chain_reproduces_run_all_mc_rows(workspace):
+    Path("run.cfg").write_text(
+        "input = ticks.csv\nintervals = 0.01, 0.05\nmin_length = 100\nmin_states = 5\nseed = 7\noutput_dir = out\n"
+    )
+    assert main(["run-all", "--config", "run.cfg"]) == 0
+    metrics = ("acc", "rmse", "rmse_ratio_permille", "n_test")
+    expected = {
+        (r["stock_code"], r["setting"]): [r[k] for k in metrics]
+        for r in _read_rows("out/reports/evaluation.csv")
+        if r["model"] == "mc"
+    }
+    assert len(expected) == 6  # every (stock, T) pair of the fixture is kept
+    assert main(["ingest", "--input", "ticks.csv", "--out", "series"]) == 0
+    for (code, setting), row in expected.items():
+        series = f"series/{code}.csv"
+        train_end = PriceSeries.from_interchange(series).day_boundaries[1]
+        interval = setting.removeprefix("T=")
+        assert main(["quantize", "--input", series, "--interval", interval, "--out", "s.csv", "--scheme-out", "k.json"]) == 0
+        assert main(["predict", "--model", "mc", "--input", "s.csv", "--train-end", str(train_end), "--out", "t.csv"]) == 0
+        assert main(["evaluate", "--trace", "t.csv", "--scheme", "k.json", "--series", series, "--out", "e.csv"]) == 0
+        assert [_read_rows("e.csv")[0][k] for k in metrics] == row, (code, setting)
+
+
+def test_evaluate_without_series_scores_states_and_leaves_ratio_blank(workspace):
+    Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
+    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
+    assert main(["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--out", "e.csv"]) == 0
+    row = _read_rows("e.csv")[0]
+    assert (row["acc"], row["rmse"], row["rmse_ratio_permille"], row["n_test"]) == ("0.5", "0.00707106781187", "", "2")
+
+
+def test_evaluate_index_outside_series_names_both_files(workspace, capsys):
+    Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
+    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
+    Path("short.csv").write_text("epoch_seconds,price_hundredths\n0,100\n1,101\n2,102\n3,101\n")
+    assert main(["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--series", "short.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "trace.csv" in err and "short.csv" in err, err
+
+
+def test_predictability_short_row_names_file_and_line(workspace, capsys):
+    Path("entropy.csv").write_text("stock_code,n,n_distinct,s_est\nA,40,3,1.5\nB,40,3\n")
+    assert main(["predictability", "--entropy-file", "entropy.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: entropy.csv: line 3") and "s_est" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("first", ["+5", "1e1", "7"])
+def test_states_file_without_header_is_data_error(workspace, capsys, first):
+    Path("s.csv").write_text(f"{first}\n" + "".join(f"{s}\n" for s in [1, 2, 3, 1, 2, 3]))
+    assert main(["entropy", "--input", "s.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: s.csv") and "state" in err, err
+
+
+def test_correlate_names_a_bad_value(workspace, capsys):
+    header = "stock_code,avgprice,volatility,life,scale,category,region,acc_mc,acc_dk,pi_max\n"
+    rows = [f"{c},{p},0.01,,,,,0.6,{a},0.8\n" for c, p, a in [("A", 10, 0.6), ("B", 12, 0.5), ("C", 9, 0.7)]]
+    Path("features.csv").write_text(header + "".join(rows))
+    assert main(["correlate", "--features", "features.csv", "--out-dir", "corr"]) == 0  # blank fields skip rows
+    capsys.readouterr()
+    Path("features.csv").write_text(header + "".join(rows) + "D,x,0.01,,,,,0.6,0.6,0.8\n")
+    assert main(["correlate", "--features", "features.csv", "--out-dir", "corr"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: features.csv") and "avgprice" in err and "D" in err, err
 
 
 def test_entropy_nats_flag(workspace, capsys):
@@ -230,10 +298,11 @@ BAD_SCHEMES = {
         (["evaluate", "--trace", "no_predicted.csv", "--scheme", "scheme.json"], "'predicted'"),
         (["quantize", "--input", "nope.csv", "--interval", "0.01", "--out", "s.csv"], "nope.csv"),
         (["entropy", "--input", "nope.csv"], "nope.csv"),
+        (["entropy", "--input", "empty.csv"], "empty.csv"),
         (["predict", "--model", "mc", "--input", "nope.csv", "--train-end", "4"], "nope.csv"),
         (["evaluate", "--trace", "trace.csv", "--scheme", "nope.json"], "nope.json"),
-        (["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--prices", "nope.txt"], "nope.txt"),
-        *((["evaluate", "--trace", "trace.csv", "--scheme", name], "scheme") for name in BAD_SCHEMES),
+        (["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--series", "nope.csv"], "nope.csv"),
+        *((["evaluate", "--trace", "trace.csv", "--scheme", name], name) for name in BAD_SCHEMES),
     ],
     ids=[
         "missing-file",
@@ -241,6 +310,7 @@ BAD_SCHEMES = {
         "no-predicted-column",
         "quantize-missing-input",
         "entropy-missing-input",
+        "entropy-empty-input",
         "predict-missing-input",
         "evaluate-missing-scheme",
         "evaluate-missing-prices",
@@ -252,6 +322,7 @@ def test_unreadable_input_csv_is_data_error(workspace, capsys, argv, needle):
     Path("no_predicted.csv").write_text("index,actual\n3,1\n")
     Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
     Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
+    Path("empty.csv").write_text("")
     for name, text in BAD_SCHEMES.items():
         Path(name).write_text(text)
     assert main(argv) == 2

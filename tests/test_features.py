@@ -95,6 +95,19 @@ def test_features_data_errors_name_their_file(tmp_path, capsys, per_stock, metad
     assert err.startswith("data error: ") and all(needle in err for needle in needles), err
 
 
+def test_features_unknown_setting_lists_the_labels_found(tmp_path, capsys):
+    _write_per_stock(tmp_path / "per_stock", A=_per_stock("A", 0.6, 0.65, 0.8))
+    assert main(["features", "--per-stock", str(tmp_path / "per_stock"), "--setting", "T=0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "T=0.05" in err and "no stocks kept" not in err, err
+
+
+def test_features_setting_with_every_stock_dropped_says_none_kept(tmp_path, capsys):
+    _write_per_stock(tmp_path / "per_stock", A=_per_stock("A", 0.6, 0.65, 0.8, dropped="too short"))
+    assert main(["features", "--per-stock", str(tmp_path / "per_stock"), "--setting", "T=0.05"]) == 2
+    assert "no stocks kept under setting 'T=0.05'" in capsys.readouterr().err
+
+
 def test_correlate_features_directions():
     rows = []
     for k in range(40):
