@@ -20,11 +20,11 @@ from .entropy import estimate_entropy
 from .errors import ConfigError, DataError, read_table, read_text
 from .evaluate import evaluate_trace
 from .features import CATEGORICAL, FEATURE_HEADER, QUANTITATIVE, correlate_features, load_metadata, load_per_stock_dir
-from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceSeries, filter_series, load_series
-from .pipeline import PipelineConfig, run_all, stock_rows, write_csv, write_json_mirror
+from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceSeries, load_series
+from .pipeline import PipelineConfig, QuantizationSetting, run_all, stock_rows, write_csv, write_json_mirror
 from .predict import PredictionTrace, run_protocol
 from .predictability import fano_solve
-from .quantize import QuantizationScheme, fixed_interval_scheme, quantize_fixed_count, quantize_with
+from .quantize import QuantizationScheme, fixed_interval_scheme, quantize_with
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,7 +38,7 @@ def _column(text: str):
 
 def _read_states(path) -> np.ndarray:
     """The ``state`` column of a states file."""
-    return np.asarray([r["state"] for r in read_table(path, {"state": int})], dtype=np.int64)
+    return np.asarray(read_table(path, {"state": int})["state"], dtype=np.int64)
 
 
 def _blank_or(kind):
@@ -47,6 +47,10 @@ def _blank_or(kind):
 
 
 def cmd_ingest(args) -> int:
+    setting = None
+    if args.filter_interval is not None:
+        fixed_interval_scheme(args.filter_interval)  # a bad width is a ConfigError here, not a drop reason
+        setting = QuantizationSetting("interval", args.filter_interval)
     schema = ColumnSchema(code=args.code_column, time=args.time_column, price=args.price_column)
     series_map, malformed = load_series(args.input, schema)
     out_dir = Path(args.out)
@@ -54,32 +58,22 @@ def cmd_ingest(args) -> int:
     rows = []
     for code in sorted(series_map):
         series = series_map[code]
-        kept, reason = True, ""
-        if args.filter_interval is not None:
-            decision = filter_series(
-                series, fixed_interval_scheme(args.filter_interval), args.min_length, args.min_states
-            )
-            kept, reason = decision.keep, decision.reason or ""
-        if kept:
+        reason = setting.admit(series, args.min_length, args.min_states)[1] if setting else None
+        if reason is None:
             series.to_interchange(out_dir / f"{code}.csv")
-        rows.append([code, len(series), series.n_days, int(kept), reason])
+        rows.append([code, len(series), series.n_days, int(reason is None), reason or ""])
     write_csv(args.report or sys.stdout, ["stock_code", "n_ticks", "n_days", "kept", "reason"], rows)
     print(f"{len(series_map)} stocks, {malformed} malformed rows skipped", file=sys.stderr)
     return 0
 
 
 def cmd_quantize(args) -> int:
-    scheme = fixed_interval_scheme(args.interval) if args.interval is not None else None  # ConfigError if invalid
-    if args.state_count is not None and args.state_count < 2:
-        raise ConfigError(f"--state-count must be >= 2, got {args.state_count}")
+    intervals = () if args.interval is None else (args.interval,)
+    config = PipelineConfig(inputs=(args.input,), intervals=intervals, state_count=args.state_count)
+    config.validate()  # a bad width or count is a ConfigError before the input is read
+    (setting,) = config.settings()
     series = PriceSeries.from_interchange(args.input)
-    if scheme is not None:
-        seq = quantize_with(series, scheme)
-    else:
-        train_end = args.train_end if args.train_end is not None else (
-            series.day_boundaries[1] if series.n_days >= 2 else len(series)
-        )
-        seq = quantize_fixed_count(series, args.state_count, train_end)
+    seq = quantize_with(series, setting.scheme_for(series))  # as run-all does: a count spans day one
     write_csv(args.out, ["state"], [[s] for s in seq.states.tolist()])
     if args.scheme_out:
         Path(args.scheme_out).write_text(seq.scheme.to_json() + "\n", encoding="utf-8")
@@ -101,16 +95,13 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_predictability(args) -> int:
-    rows = read_table(args.entropy_file, {"n_distinct": int, "s_est": float})
-    out_rows = [[*row.values(), fano_solve(row["s_est"], row["n_distinct"])] for row in rows]
-    write_csv(args.out or sys.stdout, [*rows[0], "pi_max"], out_rows)
+    table = read_table(args.entropy_file, {"n_distinct": int, "s_est": float})
+    pi_max = [fano_solve(s, n) for s, n in zip(table["s_est"], table["n_distinct"])]
+    write_csv(args.out or sys.stdout, [*table, "pi_max"], list(zip(*table.values(), pi_max)))
     return 0
 
 
 def cmd_predict(args) -> int:
-    states = _read_states(args.input)
-    if args.train_end < 3:
-        raise ConfigError("--train-end must be >= 3")
     dk = PipelineConfig(
         inputs=(args.input,),
         dk_dim=args.dim,
@@ -120,9 +111,13 @@ def cmd_predict(args) -> int:
         dk_negatives=args.negatives,
     )
     dk.validate()
+    states = _read_states(args.input)
+    series = PriceSeries.from_interchange(args.series)
+    if len(states) != len(series):
+        raise DataError(f"{args.input} holds {len(states)} states but {args.series} holds {len(series)} prices")
     trace = run_protocol(
         states,
-        [0, args.train_end],
+        series.day_boundaries,
         args.model,
         seed=args.seed,
         dk_params=dk.dk_params() if args.model == "dk" else None,
@@ -139,8 +134,8 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.json and not args.out:
         raise ConfigError("--json writes a mirror of --out, so it needs --out")
-    rows = read_table(args.trace, {"index": int, "predicted": int, "actual": int})
-    index, predicted, actual = (np.asarray([r[k] for r in rows], dtype=np.int64) for k in ("index", "predicted", "actual"))
+    table = read_table(args.trace, {"index": int, "predicted": int, "actual": int})
+    index, predicted, actual = (np.asarray(table[k], dtype=np.int64) for k in ("index", "predicted", "actual"))
     trace = PredictionTrace(args.stock_code, args.model, predicted, actual, start_index=int(index[0]))
     text = read_text(args.scheme)
     try:
@@ -180,7 +175,8 @@ def cmd_features(args) -> int:
 def cmd_correlate(args) -> int:
     # every analysed column must be there; a blank value skips its row for that column
     types = {**dict.fromkeys((*QUANTITATIVE, args.target), _blank_or(float)), **dict.fromkeys(CATEGORICAL, _blank_or(int))}
-    rows = read_table(args.features, types)
+    table = read_table(args.features, types)
+    rows = [dict(zip(table, values)) for values in zip(*table.values())]
     result = correlate_features(rows, target=args.target)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -242,7 +238,6 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--interval", type=float, default=None)
     group.add_argument("--state-count", type=int, default=None)
-    p.add_argument("--train-end", type=int, default=None, help="training slice end for --state-count (default: first day)")
     p.add_argument("--out", required=True)
     p.add_argument("--scheme-out", default=None, help="write the scheme JSON (needed by evaluate)")
     p.set_defaults(func=cmd_quantize)
@@ -261,7 +256,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("predict", help="online next-state prediction over a states file")
     p.add_argument("--model", choices=("mc", "dk"), required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--train-end", type=int, required=True, help="index where testing starts")
+    p.add_argument("--series", required=True, help="the states' interchange series: day one trains, as in run-all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=defaults.dk_dim)
     p.add_argument("--epochs", type=int, default=defaults.dk_epochs)

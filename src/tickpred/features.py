@@ -44,7 +44,8 @@ def load_metadata(path) -> dict[str, dict[str, float]]:
     """
     from .stats import N_CATEGORIES, N_REGIONS
 
-    rows = read_table(path, {"stock_code": str, **METADATA_TYPES})
+    table = read_table(path, {"stock_code": str, **METADATA_TYPES})
+    rows = [dict(zip(table, values)) for values in zip(*table.values())]
     for row in rows:
         for key, top in (("category", N_CATEGORIES), ("region", N_REGIONS)):
             if not 1 <= row[key] <= top:

@@ -98,8 +98,8 @@ class PriceSeries:
     @classmethod
     def from_interchange(cls, path, stock_code: str | None = None) -> "PriceSeries":
         path = Path(path)
-        rows = read_table(path, {"epoch_seconds": int, "price_hundredths": int})
-        epoch, prices = (np.asarray([r[k] for r in rows], dtype=np.int64) for k in ("epoch_seconds", "price_hundredths"))
+        table = read_table(path, {"epoch_seconds": int, "price_hundredths": int})
+        epoch, prices = (np.asarray(table[k], dtype=np.int64) for k in ("epoch_seconds", "price_hundredths"))
         return cls(
             stock_code=stock_code if stock_code is not None else path.stem,
             epoch_seconds=epoch,

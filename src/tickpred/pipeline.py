@@ -210,6 +210,19 @@ class QuantizationSetting:
         train_end = series.day_boundaries[1]
         return fixed_count_scheme(series.prices_hundredths[:train_end], int(self.value))
 
+    def admit(
+        self, series: PriceSeries, min_length: int, min_states: int
+    ) -> tuple[QuantizationScheme | None, str | None]:
+        """``(scheme, None)`` if a run analyses ``series`` under this setting, else ``(None, reason)``."""
+        try:
+            scheme = self.scheme_for(series)
+        except ValueError as exc:
+            return None, str(exc)
+        if series.n_days < 2:
+            return None, "fewer than 2 trading days"
+        decision = filter_series(series, scheme, min_length, min_states)
+        return (scheme, None) if decision.keep else (None, decision.reason)
+
 
 @dataclass
 class RunManifest:
@@ -268,25 +281,15 @@ def process_stock(series: PriceSeries, config: PipelineConfig) -> dict:
         "settings": {},
     }
     for setting in config.settings():
-        entry: dict = {}
+        scheme, reason = setting.admit(series, config.min_length, config.min_states)
+        entry: dict = {"dropped": reason}
         result["settings"][setting.label] = entry
-        try:
-            scheme = setting.scheme_for(series)
-        except ValueError as exc:
-            entry["dropped"] = str(exc)
-            continue
-        if series.n_days < 2:
-            entry["dropped"] = "fewer than 2 trading days"
-            continue
-        decision = filter_series(series, scheme, config.min_length, config.min_states)
-        if not decision.keep:
-            entry["dropped"] = decision.reason
+        if scheme is None:
             continue
         seq = quantize_with(series, scheme)
         est = estimate_entropy(seq)
         entry.update(
             {
-                "dropped": None,
                 "scheme": json.loads(scheme.to_json()),
                 "n": est.n,
                 "n_distinct": seq.n_distinct,
@@ -486,8 +489,16 @@ def _write_reports(out_dir: Path, config: PipelineConfig, results: dict[str, dic
                 (f"plots/acc_vs_rmse_{slug}_{model}.csv", ["stock_code", "acc", "rmse"], rows),
             ]
 
+    written = set()
     for name, header, rows in tables:
         values = [[r[k] for k in header] for r in rows]
-        write_csv(out_dir / name, header, values)
+        path = out_dir / name
+        write_csv(path, header, values)
+        written.add(path)
         if json_mirror and name.startswith("reports/"):
-            write_json_mirror((out_dir / name).with_suffix(".json"), header, values)
+            write_json_mirror(path.with_suffix(".json"), header, values)
+            written.add(path.with_suffix(".json"))
+    # reports/ and plots/ hold only this run's tables: none of a setting no longer configured, no stale mirror
+    for path in [*(out_dir / "reports").rglob("*"), *(out_dir / "plots").rglob("*")]:
+        if path.is_file() and path not in written:
+            path.unlink()

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from tickpred.cli import main
-from tickpred.ingest import PriceSeries
 from tickpred.synthetic import write_tick_fixture
 
 
@@ -48,7 +47,7 @@ def test_full_subcommand_chain(workspace, capsys):
 
     assert main([
         "predict", "--model", "mc", "--input", "states.csv",
-        "--train-end", "300", "--seed", "3", "--out", "trace.csv",
+        "--series", "series/000001.csv", "--seed", "3", "--out", "trace.csv",
     ]) == 0
     trace = _read_rows("trace.csv")
     assert len(trace) == len(states) - 1 - 300
@@ -66,7 +65,8 @@ def test_full_subcommand_chain(workspace, capsys):
 
 def test_stage_chain_reproduces_run_all_mc_rows(workspace):
     Path("run.cfg").write_text(
-        "input = ticks.csv\nintervals = 0.01, 0.05\nmin_length = 100\nmin_states = 5\nseed = 7\noutput_dir = out\n"
+        "input = ticks.csv\nintervals = 0.01, 0.05\nstate_count = 20\nmin_length = 100\nmin_states = 5\n"
+        "seed = 7\noutput_dir = out\n"
     )
     assert main(["run-all", "--config", "run.cfg"]) == 0
     metrics = ("acc", "rmse", "rmse_ratio_permille", "n_test")
@@ -75,16 +75,61 @@ def test_stage_chain_reproduces_run_all_mc_rows(workspace):
         for r in _read_rows("out/reports/evaluation.csv")
         if r["model"] == "mc"
     }
-    assert len(expected) == 6  # every (stock, T) pair of the fixture is kept
+    assert len(expected) == 9  # every (stock, setting) pair of the fixture is kept
     assert main(["ingest", "--input", "ticks.csv", "--out", "series"]) == 0
     for (code, setting), row in expected.items():
         series = f"series/{code}.csv"
-        train_end = PriceSeries.from_interchange(series).day_boundaries[1]
-        interval = setting.removeprefix("T=")
-        assert main(["quantize", "--input", series, "--interval", interval, "--out", "s.csv", "--scheme-out", "k.json"]) == 0
-        assert main(["predict", "--model", "mc", "--input", "s.csv", "--train-end", str(train_end), "--out", "t.csv"]) == 0
+        kind, value = setting.split("=")
+        flag = ["--interval", value] if kind == "T" else ["--state-count", value]
+        assert main(["quantize", "--input", series, *flag, "--out", "s.csv", "--scheme-out", "k.json"]) == 0
+        assert main(["predict", "--model", "mc", "--input", "s.csv", "--series", series, "--out", "t.csv"]) == 0
         assert main(["evaluate", "--trace", "t.csv", "--scheme", "k.json", "--series", series, "--out", "e.csv"]) == 0
         assert [_read_rows("e.csv")[0][k] for k in metrics] == row, (code, setting)
+
+
+def test_ingest_filter_drops_what_run_all_drops(workspace):
+    # a one-day stock long enough and varied enough for the filter, which run-all still drops
+    write_tick_fixture("one_day.csv", codes=("777777",), days=1, ticks_per_day=1500)
+    ticks = Path("ticks.csv").read_text() + "".join(Path("one_day.csv").read_text().splitlines(keepends=True)[1:])
+    Path("ticks.csv").write_text(ticks)
+    Path("run.cfg").write_text(
+        "input = ticks.csv\nintervals = 0.01, 0.05\nmin_length = 100\nmin_states = 6\noutput_dir = out\n"
+    )
+    assert main(["run-all", "--config", "run.cfg"]) == 0
+    drops = {(r["stock_code"], r["setting"]): r["reason"] for r in _read_rows("out/reports/drops.csv")}
+    assert drops[("777777", "T=0.01")] == "fewer than 2 trading days"
+    assert ("000001", "T=0.05") in drops and ("000001", "T=0.01") not in drops  # a kept and a dropped setting
+    for interval in ("0.01", "0.05"):
+        assert main([
+            "ingest", "--input", "ticks.csv", "--out", f"series{interval}", "--report", "ingest.csv",
+            "--filter-interval", interval, "--min-length", "100", "--min-states", "6",
+        ]) == 0
+        report = _read_rows("ingest.csv")
+        assert [r["stock_code"] for r in report] == ["000001", "000002", "600000", "777777"]
+        for r in report:
+            reason = drops.get((r["stock_code"], f"T={interval}"), "")
+            assert (r["reason"], r["kept"]) == (reason, "0" if reason else "1"), (interval, r)
+            assert Path(f"series{interval}/{r['stock_code']}.csv").exists() == (not reason)
+
+
+def test_state_count_needs_a_second_day(workspace, capsys):
+    write_tick_fixture("one_day.csv", codes=("777777",), days=1, ticks_per_day=300)
+    assert main(["ingest", "--input", "one_day.csv", "--out", "series"]) == 0
+    capsys.readouterr()
+    assert main(["quantize", "--input", "series/777777.csv", "--state-count", "20", "--out", "s.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: fixed state count needs a training day to anchor the range\n", err
+    assert not Path("s.csv").exists()
+
+
+def test_predict_states_and_series_of_different_lengths_is_data_error(workspace, capsys):
+    assert main(["ingest", "--input", "ticks.csv", "--out", "series"]) == 0
+    assert main(["quantize", "--input", "series/000001.csv", "--interval", "0.01", "--out", "s.csv"]) == 0
+    Path("short.csv").write_text("".join(Path("s.csv").read_text().splitlines(keepends=True)[:-1]))
+    capsys.readouterr()
+    assert main(["predict", "--model", "mc", "--input", "short.csv", "--series", "series/000001.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "short.csv" in err and "series/000001.csv" in err, err
 
 
 def test_evaluate_without_series_scores_states_and_leaves_ratio_blank(workspace):
@@ -222,6 +267,7 @@ def test_exit_codes(workspace):
     Path("partial.cfg").write_text("input = short.csv, ticks.csv\nmin_length = 100\nmin_states = 5\noutput_dir = outp\n")
     assert main(["run-all", "--config", "partial.cfg"]) == 3  # partial failure
     assert main(["quantize", "--input", "x.csv", "--interval", "0.001", "--out", "y.csv"]) == 1
+    assert main(["ingest", "--input", "ticks.csv", "--out", "series", "--filter-interval", "0.001"]) == 1
     assert main(["nonsense-command"]) == 1
 
 
@@ -236,7 +282,7 @@ def test_invalid_dk_config_is_config_error(workspace, capsys, line):
 @pytest.mark.parametrize("flag", [["--dim", "1"], ["--epochs", "0"], ["--alpha", "-1"], ["--negatives", "-1"]])
 def test_invalid_dk_flags_of_predict_are_config_errors(workspace, capsys, flag):
     Path("s.csv").write_text("state\n" + "".join(f"{s}\n" for s in [1, 2, 3, 1, 2, 3]))
-    assert main(["predict", "--model", "dk", "--input", "s.csv", "--train-end", "4", *flag]) == 1
+    assert main(["predict", "--model", "dk", "--input", "s.csv", "--series", "nope.csv", *flag]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
 
 
@@ -299,7 +345,7 @@ BAD_SCHEMES = {
         (["quantize", "--input", "nope.csv", "--interval", "0.01", "--out", "s.csv"], "nope.csv"),
         (["entropy", "--input", "nope.csv"], "nope.csv"),
         (["entropy", "--input", "empty.csv"], "empty.csv"),
-        (["predict", "--model", "mc", "--input", "nope.csv", "--train-end", "4"], "nope.csv"),
+        (["predict", "--model", "mc", "--input", "nope.csv", "--series", "trace.csv"], "nope.csv"),
         (["evaluate", "--trace", "trace.csv", "--scheme", "nope.json"], "nope.json"),
         (["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--series", "nope.csv"], "nope.csv"),
         *((["evaluate", "--trace", "trace.csv", "--scheme", name], name) for name in BAD_SCHEMES),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tickpred.errors import DataError, EmptyInputError, SchemaError
+from tickpred.errors import DataError, EmptyInputError, SchemaError, read_table
 from tickpred.ingest import (
     ColumnSchema,
     PriceSeries,
@@ -91,6 +91,32 @@ def test_interchange_rejects_empty_file(tmp_path):
     header_only.write_text("epoch_seconds,price_hundredths\n")
     with pytest.raises(EmptyInputError):
         PriceSeries.from_interchange(header_only)
+
+
+def test_read_table_returns_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('a,b,c\n1,x,y\n\n2,"q,r"\n')
+    # a blank line is skipped; a short row reads None past its end
+    assert read_table(path, {"a": int}) == {"a": [1, 2], "b": ["x", "q,r"], "c": ["y", None]}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,b\n1,2\n3\n", "line 3 (3): b: missing"),
+        ("a,b\n1,2\n\n\nx,3\n", "line 5 (x): a: invalid literal for int() with base 10: 'x'"),
+        ('a,b\n"1\n",2\n4,"5\n6"\n', "line 5 (4): b: invalid literal for int() with base 10: '5\\n6'"),
+        # the first bad value in file order, and the row's first field as converted
+        ("a,b\n07,x\ny,2\n", "line 2 (7): b: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["short-row", "after-blank-lines", "quoted-line-ends", "file-order"],
+)
+def test_read_table_names_the_line_of_the_first_bad_value(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        read_table(path, {"a": int, "b": int})
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_price_parsing_is_exact():

@@ -460,6 +460,16 @@ def test_rerun_keeps_files_only_of_done_stocks(fixture_csv, tmp_path, monkeypatc
         assert all(p.stat().st_mtime_ns == stamps[p] for sub in ("per_stock", "series") for p in (out / sub).iterdir())
 
 
+def test_rerun_keeps_only_this_runs_reports_and_plots(fixture_csv, tmp_path):
+    config = _config(fixture_csv, tmp_path)
+    run_all(config, json_mirror=True)
+    narrower = dataclasses.replace(config, intervals=(0.01,))
+    run_all(narrower)
+    fresh = dataclasses.replace(narrower, output_dir=str(tmp_path / "fresh"))
+    run_all(fresh)
+    assert _tree(config.output_dir, ("reports", "plots")) == _tree(fresh.output_dir, ("reports", "plots"))
+
+
 def test_per_stock_json_is_loadable(fixture_csv, tmp_path):
     config = _config(fixture_csv, tmp_path, out="out_json")
     run_all(config)
