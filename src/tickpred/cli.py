@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,20 +20,16 @@ from .entropy import estimate_entropy
 from .errors import ConfigError, DataError, read_table, read_text
 from .evaluate import evaluate_trace
 from .features import CATEGORICAL, FEATURE_HEADER, QUANTITATIVE, correlate_features, load_metadata, load_per_stock_dir
-from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceSeries, load_series
-from .pipeline import PipelineConfig, QuantizationSetting, run_all, stock_rows, write_csv, write_json_mirror
+from .ingest import ColumnSchema, PriceSeries, load_series
+from .pipeline import PipelineConfig, QuantizationSetting, child_seed, run_all, stock_rows, write_csv, write_json_mirror
 from .predict import PredictionTrace, run_protocol
 from .predictability import fano_solve
-from .quantize import QuantizationScheme, fixed_interval_scheme, quantize_with
+from .quantize import QuantizationScheme, quantize_with
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are config errors, not exit code 2
         raise ConfigError(message)
-
-
-def _column(text: str):
-    return int(text) if text.isdigit() else text
 
 
 def _read_states(path) -> np.ndarray:
@@ -46,19 +42,32 @@ def _blank_or(kind):
     return lambda text: kind(text) if text.strip() else None
 
 
+def _stage_config(args, inputs) -> tuple[PipelineConfig, QuantizationSetting | None]:
+    """run-all's config (its defaults without --config), checked as run-all checks it, and the --setting it names.
+
+    The stage's own ``inputs`` stand in for the config's ``input``. The setting is None without --setting.
+    """
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    config = replace(config, inputs=tuple(inputs))
+    config.validate()
+    if args.setting is None:
+        return config, None
+    settings = {s.label: s for s in config.settings()}
+    if args.setting not in settings:
+        raise ConfigError(f"setting {args.setting!r} is not in the config; its settings: {', '.join(settings)}")
+    return config, settings[args.setting]
+
+
 def cmd_ingest(args) -> int:
-    setting = None
-    if args.filter_interval is not None:
-        fixed_interval_scheme(args.filter_interval)  # a bad width is a ConfigError here, not a drop reason
-        setting = QuantizationSetting("interval", args.filter_interval)
-    schema = ColumnSchema(code=args.code_column, time=args.time_column, price=args.price_column)
+    config, setting = _stage_config(args, args.input)
+    schema = ColumnSchema(code=config.code_column, time=config.time_column, price=config.price_column)
     series_map, malformed = load_series(args.input, schema)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for code in sorted(series_map):
         series = series_map[code]
-        reason = setting.admit(series, args.min_length, args.min_states)[1] if setting else None
+        reason = setting.admit(series, config.min_length, config.min_states)[1] if setting else None
         if reason is None:
             series.to_interchange(out_dir / f"{code}.csv")
         rows.append([code, len(series), series.n_days, int(reason is None), reason or ""])
@@ -68,10 +77,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    intervals = () if args.interval is None else (args.interval,)
-    config = PipelineConfig(inputs=(args.input,), intervals=intervals, state_count=args.state_count)
-    config.validate()  # a bad width or count is a ConfigError before the input is read
-    (setting,) = config.settings()
+    _, setting = _stage_config(args, [args.input])
     series = PriceSeries.from_interchange(args.input)
     seq = quantize_with(series, setting.scheme_for(series))  # as run-all does: a count spans day one
     write_csv(args.out, ["state"], [[s] for s in seq.states.tolist()])
@@ -102,15 +108,8 @@ def cmd_predictability(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    dk = PipelineConfig(
-        inputs=(args.input,),
-        dk_dim=args.dim,
-        dk_epochs=args.epochs,
-        dk_alpha=args.alpha,
-        dk_margin=args.margin,
-        dk_negatives=args.negatives,
-    )
-    dk.validate()
+    config, setting = _stage_config(args, [args.input])
+    code = Path(args.series).stem  # ingest and run-all name each series file after its stock
     states = _read_states(args.input)
     series = PriceSeries.from_interchange(args.series)
     if len(states) != len(series):
@@ -119,9 +118,9 @@ def cmd_predict(args) -> int:
         states,
         series.day_boundaries,
         args.model,
-        seed=args.seed,
-        dk_params=dk.dk_params() if args.model == "dk" else None,
-        stock_code=Path(args.input).stem,
+        seed=child_seed(config.seed, code, setting.label, args.model),  # as run-all seeds each unit
+        dk_params=config.dk_params() if args.model == "dk" else None,
+        stock_code=code,
     )
     rows = [
         [trace.start_index + i, int(p), int(a)]
@@ -199,10 +198,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_run_all(args) -> int:
-    if args.config:
-        config = PipelineConfig.from_file(args.config)
-    else:
-        config = PipelineConfig()
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     if args.print_config:
         sys.stdout.write(config.to_text())
         return 0
@@ -216,28 +212,25 @@ def cmd_run_all(args) -> int:
     return 3 if failed else 0
 
 
+def _config_args(p, required=False, setting_help="setting label, e.g. T=0.05 or SP=20") -> None:
+    p.add_argument("--config", default=None, help="run-all's config file (default: run-all --print-config)")
+    p.add_argument("--setting", required=required, default=None, help=setting_help)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="tickpred", description=__doc__)
-    defaults = PipelineConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse tick files into per-stock interchange series")
     p.add_argument("--input", nargs="+", required=True, help="tick files or glob patterns")
-    p.add_argument("--code-column", type=_column, default=1)
-    p.add_argument("--time-column", type=_column, default=2)
-    p.add_argument("--price-column", type=_column, default=3)
     p.add_argument("--out", required=True, help="directory for per-stock series files")
-    p.add_argument("--filter-interval", type=float, default=None, help="apply the keep/drop filter at this interval")
-    p.add_argument("--min-length", type=int, default=DEFAULT_MIN_LENGTH)
-    p.add_argument("--min-states", type=int, default=DEFAULT_MIN_STATES)
+    _config_args(p, setting_help="keep or drop each stock as run-all does under this setting")
     p.add_argument("--report", default=None, help="write the per-stock report CSV here instead of stdout")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("quantize", help="map an interchange series to state ids")
     p.add_argument("--input", required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--interval", type=float, default=None)
-    group.add_argument("--state-count", type=int, default=None)
+    _config_args(p, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--scheme-out", default=None, help="write the scheme JSON (needed by evaluate)")
     p.set_defaults(func=cmd_quantize)
@@ -257,12 +250,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=("mc", "dk"), required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--series", required=True, help="the states' interchange series: day one trains, as in run-all")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=defaults.dk_dim)
-    p.add_argument("--epochs", type=int, default=defaults.dk_epochs)
-    p.add_argument("--alpha", type=float, default=defaults.dk_alpha)
-    p.add_argument("--margin", type=float, default=defaults.dk_margin)
-    p.add_argument("--negatives", type=int, default=defaults.dk_negatives)
+    _config_args(p, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_predict)
 

@@ -20,6 +20,11 @@ class EmptyInputError(DataError):
     """Input contained no parseable rows."""
 
 
+def not_utf8(path, exc: UnicodeDecodeError) -> DataError:
+    """The error for a file that is not UTF-8 text, naming the file and the first bad byte."""
+    return DataError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason}); convert it to UTF-8 first")
+
+
 def read_text(path) -> str:
     """Contents of a UTF-8 text file, line ends as stored; raises DataError naming the file when it cannot be read."""
     try:
@@ -27,6 +32,8 @@ def read_text(path) -> str:
             return f.read()
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
 
 
 def read_table(path, types: dict[str, type]) -> dict[str, list]:

@@ -10,13 +10,12 @@ distribution bins.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_table, read_text
-from .pipeline import stock_rows
+from .errors import DataError, read_table
+from .pipeline import read_result
 from .stats import PRICE_BIN_EDGES, VOLATILITY_BIN_EDGES, anova_oneway, bin_feature, spearman
 
 FEATURE_HEADER = [
@@ -123,15 +122,7 @@ def load_per_stock_dir(path) -> dict[str, dict]:
 
     Raises DataError naming a file that is not JSON or not a per-stock result.
     """
-    out = {}
-    for p in sorted(Path(path).glob("*.json")):
-        text = read_text(p)
-        try:
-            result = json.loads(text)
-            stock_rows({p.stem: result}, list(result["settings"]))  # reads every field a report needs
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
-            raise DataError(f"{p}: not a per-stock result ({type(exc).__name__}: {exc})") from None
-        out[p.stem] = result
+    out = {p.stem: read_result(p) for p in sorted(Path(path).glob("*.json"))}
     if not out:
         raise DataError(f"{path}: no per-stock result files")
     return out

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError, SchemaError, read_table
+from .errors import DataError, EmptyInputError, SchemaError, not_utf8, read_table
 from .quantize import QuantizationScheme
 
 DEFAULT_MIN_LENGTH = 1000  # ticks; roughly a quarter trading day
@@ -155,8 +155,8 @@ def parse_ticks(source, schema: ColumnSchema) -> tuple[list[Row], int]:
     ``source`` is a path (a non-empty ``str`` without a newline is one), byte
     string, text string or open text stream with a header row. Malformed rows
     are counted and skipped; the count is returned alongside the rows. Raises
-    DataError for a missing file, SchemaError when a mapped column is missing
-    and EmptyInputError when nothing parses.
+    DataError for a missing file or text that is not UTF-8, SchemaError when a
+    mapped column is missing and EmptyInputError when nothing parses.
     """
     if isinstance(source, Path) or (isinstance(source, str) and source and "\n" not in source):
         if not Path(source).is_file():
@@ -164,13 +164,20 @@ def parse_ticks(source, schema: ColumnSchema) -> tuple[list[Row], int]:
         with open(source, "r", encoding="utf-8", newline="") as f:
             return _parse_stream(f, schema, str(source))
     if isinstance(source, bytes):
-        return _parse_stream(io.StringIO(source.decode("utf-8")), schema, "<bytes>")
+        return _parse_stream(io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline=""), schema, "<bytes>")
     if isinstance(source, str):
         return _parse_stream(io.StringIO(source), schema, "<string>")
     return _parse_stream(source, schema, getattr(source, "name", "<stream>"))
 
 
 def _parse_stream(f, schema: ColumnSchema, origin: str) -> tuple[list[Row], int]:
+    try:
+        return _parse_rows(f, schema, origin)
+    except UnicodeDecodeError as exc:  # the text is decoded as it is read
+        raise not_utf8(origin, exc) from None
+
+
+def _parse_rows(f, schema: ColumnSchema, origin: str) -> tuple[list[Row], int]:
     header_line = f.readline()
     if not header_line.strip():
         raise EmptyInputError(f"{origin}: empty input")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .entropy import estimate_entropy
-from .errors import ConfigError
+from .errors import ConfigError, DataError, read_text
 from .evaluate import evaluate_trace
 from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceSeries, filter_series, load_series
 from .predict import DiffusionKernelModel, run_protocol
@@ -138,9 +138,9 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+            text = read_text(path)
+        except DataError as exc:  # a config file that cannot be read is a config error
+            raise ConfigError(f"config file {exc}") from None
         return cls.from_text(text)
 
     @classmethod
@@ -348,6 +348,20 @@ def stock_rows(results: dict[str, dict], labels: list[str]) -> tuple[list[dict],
     return units, evals
 
 
+def read_result(path) -> dict:
+    """A per-stock result JSON as ``process_stock`` wrote it.
+
+    Raises DataError naming a file that cannot be read, is not JSON or is not a per-stock result.
+    """
+    text = read_text(path)
+    try:
+        result = json.loads(text)
+        stock_rows({Path(path).stem: result}, list(result["settings"]))  # reads every field a report needs
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: not a per-stock result ({type(exc).__name__}: {exc})") from None
+    return result
+
+
 def summary_row(setting: str, model: str, preds: list[dict], rows: list[dict]) -> dict:
     """Arithmetic means of one (setting, model) group's evaluation ``rows``.
 
@@ -416,9 +430,9 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     results: dict[str, dict] = {}
     for code in sorted(c for c in all_series if done.get(c) == digests[c]):
         try:
-            results[code] = json.loads((out_dir / "per_stock" / f"{code}.json").read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            pass  # a per-stock JSON that is gone or unreadable is recomputed
+            results[code] = read_result(out_dir / "per_stock" / f"{code}.json")
+        except DataError:
+            pass  # a per-stock JSON that is gone, unreadable or not a result is recomputed
     pending = [code for code in sorted(all_series) if code not in results]
     # before any manifest line goes out, so these directories hold only stocks recorded as done
     for sub, suffix in (("per_stock", ".json"), ("series", ".csv")):

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from tickpred.cli import main
+from tickpred.cli import build_parser, main
 from tickpred.synthetic import write_tick_fixture
 
 
@@ -29,7 +30,7 @@ def test_full_subcommand_chain(workspace, capsys):
     assert all(r["kept"] == "1" for r in report)
 
     assert main([
-        "quantize", "--input", "series/000001.csv", "--interval", "0.05",
+        "quantize", "--input", "series/000001.csv", "--setting", "T=0.05",
         "--out", "states.csv", "--scheme-out", "scheme.json",
     ]) == 0
     states = Path("states.csv").read_text().splitlines()
@@ -47,7 +48,7 @@ def test_full_subcommand_chain(workspace, capsys):
 
     assert main([
         "predict", "--model", "mc", "--input", "states.csv",
-        "--series", "series/000001.csv", "--seed", "3", "--out", "trace.csv",
+        "--series", "series/000001.csv", "--setting", "T=0.05", "--out", "trace.csv",
     ]) == 0
     trace = _read_rows("trace.csv")
     assert len(trace) == len(states) - 1 - 300
@@ -63,28 +64,35 @@ def test_full_subcommand_chain(workspace, capsys):
     assert json.loads(Path("eval.json").read_text())[0]["stock_code"] == "000001"
 
 
-def test_stage_chain_reproduces_run_all_mc_rows(workspace):
+def _stage_chain_reproduces_run_all(model):
+    """Every ``model`` row of run-all's evaluation.csv, rebuilt by the stage commands under the same config."""
     Path("run.cfg").write_text(
         "input = ticks.csv\nintervals = 0.01, 0.05\nstate_count = 20\nmin_length = 100\nmin_states = 5\n"
-        "seed = 7\noutput_dir = out\n"
+        "dk_epochs = 2\nseed = 7\noutput_dir = out\n"
     )
     assert main(["run-all", "--config", "run.cfg"]) == 0
     metrics = ("acc", "rmse", "rmse_ratio_permille", "n_test")
     expected = {
         (r["stock_code"], r["setting"]): [r[k] for k in metrics]
         for r in _read_rows("out/reports/evaluation.csv")
-        if r["model"] == "mc"
+        if r["model"] == model
     }
     assert len(expected) == 9  # every (stock, setting) pair of the fixture is kept
-    assert main(["ingest", "--input", "ticks.csv", "--out", "series"]) == 0
+    assert main(["ingest", "--input", "ticks.csv", "--out", "series", "--config", "run.cfg"]) == 0
     for (code, setting), row in expected.items():
-        series = f"series/{code}.csv"
-        kind, value = setting.split("=")
-        flag = ["--interval", value] if kind == "T" else ["--state-count", value]
-        assert main(["quantize", "--input", series, *flag, "--out", "s.csv", "--scheme-out", "k.json"]) == 0
-        assert main(["predict", "--model", "mc", "--input", "s.csv", "--series", series, "--out", "t.csv"]) == 0
+        series, config = f"series/{code}.csv", ["--config", "run.cfg", "--setting", setting]
+        assert main(["quantize", "--input", series, *config, "--out", "s.csv", "--scheme-out", "k.json"]) == 0
+        assert main(["predict", "--model", model, "--input", "s.csv", "--series", series, *config, "--out", "t.csv"]) == 0
         assert main(["evaluate", "--trace", "t.csv", "--scheme", "k.json", "--series", series, "--out", "e.csv"]) == 0
         assert [_read_rows("e.csv")[0][k] for k in metrics] == row, (code, setting)
+
+
+def test_stage_chain_reproduces_run_all_mc_rows(workspace):
+    _stage_chain_reproduces_run_all("mc")
+
+
+def test_stage_chain_reproduces_run_all_dk_rows(workspace):
+    _stage_chain_reproduces_run_all("dk")  # predict seeds each (stock, setting) as run-all does
 
 
 def test_ingest_filter_drops_what_run_all_drops(workspace):
@@ -102,7 +110,7 @@ def test_ingest_filter_drops_what_run_all_drops(workspace):
     for interval in ("0.01", "0.05"):
         assert main([
             "ingest", "--input", "ticks.csv", "--out", f"series{interval}", "--report", "ingest.csv",
-            "--filter-interval", interval, "--min-length", "100", "--min-states", "6",
+            "--config", "run.cfg", "--setting", f"T={interval}",
         ]) == 0
         report = _read_rows("ingest.csv")
         assert [r["stock_code"] for r in report] == ["000001", "000002", "600000", "777777"]
@@ -112,11 +120,49 @@ def test_ingest_filter_drops_what_run_all_drops(workspace):
             assert Path(f"series{interval}/{r['stock_code']}.csv").exists() == (not reason)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--input", "ticks.csv", "--out", "series"],
+        ["quantize", "--input", "series.csv", "--out", "s.csv"],
+        ["predict", "--model", "dk", "--input", "s.csv", "--series", "series.csv"],
+    ],
+    ids=["ingest", "quantize", "predict"],
+)
+def test_setting_not_in_config_is_config_error_listing_its_settings(workspace, capsys, argv):
+    Path("run.cfg").write_text("intervals = 0.01, 0.30\nstate_count = 20\n")
+    assert main([*argv, "--config", "run.cfg", "--setting", "T=0.3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: setting 'T=0.3' is not in the config; its settings: T=0.01, T=0.30, SP=20\n", err
+    assert not Path("series").exists()
+
+
+def test_ingest_checks_its_config_as_run_all_does(workspace, capsys):
+    Path("run.cfg").write_text("input = ticks.csv\nmin_length = 0\nmin_states = 0\n")
+    assert main(["run-all", "--config", "run.cfg"]) == 1
+    assert main(["ingest", "--input", "ticks.csv", "--out", "series", "--config", "run.cfg", "--setting", "T=0.01"]) == 1
+    assert capsys.readouterr().err == "config error: min_length must be >= 3\n" * 2
+    assert not Path("series").exists()
+
+
+def test_readme_cli_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert len(commands) == 9
+    parser = build_parser()
+    for command in commands:
+        assert command[0] == "tickpred"
+        assert parser.parse_args(command[1:]).command == command[1]
+
+
 def test_state_count_needs_a_second_day(workspace, capsys):
     write_tick_fixture("one_day.csv", codes=("777777",), days=1, ticks_per_day=300)
     assert main(["ingest", "--input", "one_day.csv", "--out", "series"]) == 0
     capsys.readouterr()
-    assert main(["quantize", "--input", "series/777777.csv", "--state-count", "20", "--out", "s.csv"]) == 2
+    Path("sp.cfg").write_text("state_count = 20\n")
+    argv = ["quantize", "--input", "series/777777.csv", "--config", "sp.cfg", "--setting", "SP=20", "--out", "s.csv"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "data error: fixed state count needs a training day to anchor the range\n", err
     assert not Path("s.csv").exists()
@@ -124,10 +170,11 @@ def test_state_count_needs_a_second_day(workspace, capsys):
 
 def test_predict_states_and_series_of_different_lengths_is_data_error(workspace, capsys):
     assert main(["ingest", "--input", "ticks.csv", "--out", "series"]) == 0
-    assert main(["quantize", "--input", "series/000001.csv", "--interval", "0.01", "--out", "s.csv"]) == 0
+    assert main(["quantize", "--input", "series/000001.csv", "--setting", "T=0.01", "--out", "s.csv"]) == 0
     Path("short.csv").write_text("".join(Path("s.csv").read_text().splitlines(keepends=True)[:-1]))
     capsys.readouterr()
-    assert main(["predict", "--model", "mc", "--input", "short.csv", "--series", "series/000001.csv"]) == 2
+    argv = ["predict", "--model", "mc", "--input", "short.csv", "--series", "series/000001.csv", "--setting", "T=0.01"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "short.csv" in err and "series/000001.csv" in err, err
 
@@ -178,7 +225,7 @@ def test_correlate_names_a_bad_value(workspace, capsys):
 
 def test_entropy_nats_flag(workspace, capsys):
     assert main(["ingest", "--input", "ticks.csv", "--out", "series"]) == 0
-    assert main(["quantize", "--input", "series/000002.csv", "--interval", "0.01", "--out", "s.csv"]) == 0
+    assert main(["quantize", "--input", "series/000002.csv", "--setting", "T=0.01", "--out", "s.csv"]) == 0
     capsys.readouterr()  # drain the ingest report
     assert main(["entropy", "--input", "s.csv", "--nats"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -191,7 +238,7 @@ def test_stdout_matches_file_output(workspace, capsys):
     assert main(["ingest", "--input", "ticks.csv", "--out", "series"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == Path("ingest.csv").read_bytes()
 
-    assert main(["quantize", "--input", "series/000001.csv", "--interval", "0.01", "--out", "s.csv"]) == 0
+    assert main(["quantize", "--input", "series/000001.csv", "--setting", "T=0.01", "--out", "s.csv"]) == 0
     assert main(["entropy", "--input", "s.csv", "--nats", "--out", "entropy.csv"]) == 0
     capsys.readouterr()
     assert main(["entropy", "--input", "s.csv", "--nats"]) == 0
@@ -266,8 +313,9 @@ def test_exit_codes(workspace):
     Path("short.csv").write_text("code,time,price\nA,2021-01-04 09:30:00,1.00\nA,2021-01-05 09:30:00,1.01\n")
     Path("partial.cfg").write_text("input = short.csv, ticks.csv\nmin_length = 100\nmin_states = 5\noutput_dir = outp\n")
     assert main(["run-all", "--config", "partial.cfg"]) == 3  # partial failure
-    assert main(["quantize", "--input", "x.csv", "--interval", "0.001", "--out", "y.csv"]) == 1
-    assert main(["ingest", "--input", "ticks.csv", "--out", "series", "--filter-interval", "0.001"]) == 1
+    Path("tiny.cfg").write_text("intervals = 0.001\n")  # below the price precision
+    assert main(["quantize", "--input", "x.csv", "--config", "tiny.cfg", "--setting", "T=0.00", "--out", "y.csv"]) == 1
+    assert main(["ingest", "--input", "ticks.csv", "--out", "series", "--config", "tiny.cfg", "--setting", "T=0.00"]) == 1
     assert main(["nonsense-command"]) == 1
 
 
@@ -277,13 +325,11 @@ def test_invalid_dk_config_is_config_error(workspace, capsys, line):
     assert main(["run-all", "--config", "dk.cfg"]) == 1
     assert "config error" in capsys.readouterr().err
     assert not Path("out/manifest.jsonl").exists()
-
-
-@pytest.mark.parametrize("flag", [["--dim", "1"], ["--epochs", "0"], ["--alpha", "-1"], ["--negatives", "-1"]])
-def test_invalid_dk_flags_of_predict_are_config_errors(workspace, capsys, flag):
+    # predict reads the same config and checks it before it reads its missing inputs
     Path("s.csv").write_text("state\n" + "".join(f"{s}\n" for s in [1, 2, 3, 1, 2, 3]))
-    assert main(["predict", "--model", "dk", "--input", "s.csv", "--series", "nope.csv", *flag]) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    argv = ["predict", "--model", "dk", "--input", "s.csv", "--series", "nope.csv", "--setting", "T=0.01"]
+    assert main([*argv, "--config", "dk.cfg"]) == 1
+    assert capsys.readouterr().err.startswith("config error: DK parameters: ")
 
 
 @pytest.mark.parametrize("line", ["intervals = 0.015", "intervals = 0.01, 0.01", "intervals = inf"])
@@ -298,8 +344,10 @@ def test_invalid_intervals_of_run_all_are_config_errors(workspace, capsys, line)
 def test_invalid_quantize_interval_is_config_error(workspace, capsys, interval):
     assert main(["ingest", "--input", "ticks.csv", "--out", "series"]) == 0
     capsys.readouterr()
-    assert main(["quantize", "--input", "series/000001.csv", "--interval", interval, "--out", "s.csv"]) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    Path("t.cfg").write_text(f"intervals = {interval}\n")
+    setting = f"T={float(interval):.2f}"
+    assert main(["quantize", "--input", "series/000001.csv", "--config", "t.cfg", "--setting", setting, "--out", "s.csv"]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: interval {interval} ")
     assert not Path("s.csv").exists()
 
 
@@ -342,10 +390,10 @@ BAD_SCHEMES = {
         (["predictability", "--entropy-file", "nope.csv"], "nope.csv"),
         (["predictability", "--entropy-file", "no_s_est.csv"], "'s_est'"),
         (["evaluate", "--trace", "no_predicted.csv", "--scheme", "scheme.json"], "'predicted'"),
-        (["quantize", "--input", "nope.csv", "--interval", "0.01", "--out", "s.csv"], "nope.csv"),
+        (["quantize", "--input", "nope.csv", "--setting", "T=0.01", "--out", "s.csv"], "nope.csv"),
         (["entropy", "--input", "nope.csv"], "nope.csv"),
         (["entropy", "--input", "empty.csv"], "empty.csv"),
-        (["predict", "--model", "mc", "--input", "nope.csv", "--series", "trace.csv"], "nope.csv"),
+        (["predict", "--model", "mc", "--input", "nope.csv", "--series", "trace.csv", "--setting", "T=0.01"], "nope.csv"),
         (["evaluate", "--trace", "trace.csv", "--scheme", "nope.json"], "nope.json"),
         (["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--series", "nope.csv"], "nope.csv"),
         *((["evaluate", "--trace", "trace.csv", "--scheme", name], name) for name in BAD_SCHEMES),
@@ -394,3 +442,31 @@ def test_partial_failure_still_writes_reports(workspace):
     assert sum(1 for s in statuses.values() if s == "done") == 3
     eval_rows = _read_rows("outp/reports/evaluation.csv")
     assert len(eval_rows) == 12
+
+
+GBK = "平安银行".encode("gbk")  # Chinese tick vendors often ship GBK, not UTF-8
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, path",
+    [
+        (["ingest", "--input", "gbk.csv", "--out", "series"], 2, "gbk.csv"),
+        (["quantize", "--input", "gbk.csv", "--setting", "T=0.01", "--out", "s.csv"], 2, "gbk.csv"),
+        (["evaluate", "--trace", "trace.csv", "--scheme", "gbk.csv"], 2, "gbk.csv"),
+        (["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--series", "gbk.csv"], 2, "gbk.csv"),
+        (["features", "--per-stock", "per_stock", "--setting", "T=0.01"], 2, "000001.json"),
+        (["run-all", "--config", "gbk.cfg"], 1, "gbk.cfg"),
+    ],
+    ids=["ingest", "quantize", "evaluate-scheme", "evaluate-series", "features", "run-all-config"],
+)
+def test_non_utf8_input_names_its_file(workspace, capsys, argv, exit_code, path):
+    Path("gbk.csv").write_bytes(b"code,time,price\n000001,2021-01-04 09:30:00,1.00," + GBK + b"\n")
+    Path("per_stock").mkdir()
+    Path("per_stock/000001.json").write_bytes(b'{"stock_code": "' + GBK + b'"}')
+    Path("gbk.cfg").write_bytes(b"input = " + GBK + b".csv\n")
+    Path("trace.csv").write_text("index,predicted,actual\n0,1,1\n")
+    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
+    assert main(argv) == exit_code
+    err = capsys.readouterr().err
+    kind = "config error: " if exit_code == 1 else "data error: "
+    assert err.startswith(kind) and path in err and "not UTF-8" in err, err

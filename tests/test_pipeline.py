@@ -378,14 +378,14 @@ def test_interrupted_warm_rerun_keeps_finished_stocks(fixture_csv, tmp_path, mon
     run_all(config)
     before = _tree(config.output_dir)
     if stage == "reuse":  # a kill while the second finished stock's JSON is read back
-        read_text = Path.read_text
+        read_result = pipeline.read_result
 
-        def interrupting_read(path, *args, **kwargs):
+        def interrupting_read(path):
             if path.name == "000002.json":
                 raise KeyboardInterrupt
-            return read_text(path, *args, **kwargs)
+            return read_result(path)
 
-        monkeypatch.setattr(Path, "read_text", interrupting_read)
+        monkeypatch.setattr(pipeline, "read_result", interrupting_read)
     else:
         monkeypatch.setattr(pipeline, "_write_reports", _interrupt)
     with pytest.raises(KeyboardInterrupt):
@@ -477,3 +477,16 @@ def test_per_stock_json_is_loadable(fixture_csv, tmp_path):
     assert payload["stock_code"] == "000001"
     assert "T=0.01" in payload["settings"]
     assert payload["settings"]["T=0.05"]["models"]["dk"]["n_test"] > 0
+
+
+@pytest.mark.parametrize("text", ["{}", "not json"])
+def test_rerun_recomputes_a_per_stock_json_that_is_not_a_result(fixture_csv, tmp_path, monkeypatch, text):
+    config = _config(fixture_csv, tmp_path)
+    run_all(config)
+    before = _tree(config.output_dir)
+    (Path(config.output_dir) / "per_stock" / "000002.json").write_text(text)  # manifest line and digest still match
+
+    computed = _record_computed(monkeypatch)
+    assert run_all(config).done == ["000001", "000002", "600000"]
+    assert computed == ["000002"]
+    assert _tree(config.output_dir) == before
