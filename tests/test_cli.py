@@ -325,7 +325,13 @@ def test_invalid_dk_config_is_config_error(workspace, capsys, line):
     assert main(["run-all", "--config", "dk.cfg"]) == 1
     assert "config error" in capsys.readouterr().err
     assert not Path("out/manifest.jsonl").exists()
-    # predict reads the same config and checks it before it reads its missing inputs
+
+
+@pytest.mark.parametrize("flag", [["dk_dim", "1"], ["dk_epochs", "0"], ["dk_alpha", "-1"], ["dk_negatives", "-1"]])
+def test_invalid_dk_flags_of_predict_are_config_errors(workspace, capsys, flag):
+    # predict takes its DK parameters from the config and checks them before it reads its missing inputs
+    key, value = flag
+    Path("dk.cfg").write_text(f"{key} = {value}\n")
     Path("s.csv").write_text("state\n" + "".join(f"{s}\n" for s in [1, 2, 3, 1, 2, 3]))
     argv = ["predict", "--model", "dk", "--input", "s.csv", "--series", "nope.csv", "--setting", "T=0.01"]
     assert main([*argv, "--config", "dk.cfg"]) == 1
