@@ -17,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import estimate_entropy
-from .errors import ConfigError, DataError, read_table, read_text
-from .evaluate import evaluate_trace
+from .errors import ConfigError, DataError, read_table
 from .features import CATEGORICAL, FEATURE_HEADER, QUANTITATIVE, correlate_features, load_metadata, load_per_stock_dir
 from .ingest import ColumnSchema, PriceSeries, load_series
-from .pipeline import PipelineConfig, QuantizationSetting, child_seed, run_all, stock_rows, write_csv, write_json_mirror
-from .predict import PredictionTrace, run_protocol
+from .pipeline import PipelineConfig, QuantizationSetting, run_all, stock_rows, unit_report, unit_trace, write_csv, write_json_mirror
+from .predict import PredictionTrace
 from .predictability import fano_solve
-from .quantize import QuantizationScheme, quantize_with
+from .quantize import quantize_with
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,8 +80,6 @@ def cmd_quantize(args) -> int:
     series = PriceSeries.from_interchange(args.input)
     seq = quantize_with(series, setting.scheme_for(series))  # as run-all does: a count spans day one
     write_csv(args.out, ["state"], [[s] for s in seq.states.tolist()])
-    if args.scheme_out:
-        Path(args.scheme_out).write_text(seq.scheme.to_json() + "\n", encoding="utf-8")
     print(f"{len(seq)} states, {seq.n_distinct} distinct", file=sys.stderr)
     return 0
 
@@ -109,19 +106,11 @@ def cmd_predictability(args) -> int:
 
 def cmd_predict(args) -> int:
     config, setting = _stage_config(args, [args.input])
-    code = Path(args.series).stem  # ingest and run-all name each series file after its stock
     states = _read_states(args.input)
-    series = PriceSeries.from_interchange(args.series)
+    series = PriceSeries.from_interchange(args.series)  # named after its stock, as ingest and run-all name it
     if len(states) != len(series):
         raise DataError(f"{args.input} holds {len(states)} states but {args.series} holds {len(series)} prices")
-    trace = run_protocol(
-        states,
-        series.day_boundaries,
-        args.model,
-        seed=child_seed(config.seed, code, setting.label, args.model),  # as run-all seeds each unit
-        dk_params=config.dk_params() if args.model == "dk" else None,
-        stock_code=code,
-    )
+    trace = unit_trace(config, states, series, setting, args.model)
     rows = [
         [trace.start_index + i, int(p), int(a)]
         for i, (p, a) in enumerate(zip(trace.predicted.tolist(), trace.actual.tolist()))
@@ -133,23 +122,16 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.json and not args.out:
         raise ConfigError("--json writes a mirror of --out, so it needs --out")
+    config, setting = _stage_config(args, [args.series])
     table = read_table(args.trace, {"index": int, "predicted": int, "actual": int})
     index, predicted, actual = (np.asarray(table[k], dtype=np.int64) for k in ("index", "predicted", "actual"))
-    trace = PredictionTrace(args.stock_code, args.model, predicted, actual, start_index=int(index[0]))
-    text = read_text(args.scheme)
-    try:
-        scheme = QuantizationScheme.from_json(text)
-    except DataError as exc:
-        raise DataError(f"{args.scheme}: {exc}") from None
-    raw = avgprice = None
-    if args.series:  # score as run-all does: against the raw prices, with the ratio to their mean
-        series = PriceSeries.from_interchange(args.series)
-        if index.min() < 0 or index.max() >= len(series):
-            raise DataError(f"{args.trace}: index outside the {len(series)} prices of {args.series}")
-        raw, avgprice = series.prices_cny[index], series.mean_price()
-    report = evaluate_trace(trace, scheme, raw_prices=raw, avgprice=avgprice)
+    series = PriceSeries.from_interchange(args.series)
+    if index.min() < 0 or index.max() >= len(series):
+        raise DataError(f"{args.trace}: index outside the {len(series)} prices of {args.series}")
+    trace = PredictionTrace(series.stock_code, args.model, predicted, actual, start_index=int(index[0]))
+    report = unit_report(config, trace, series, setting.scheme_for(series), index)
     header = ["stock_code", "model", "acc", "rmse", "rmse_ratio_permille", "n_test"]
-    row = ["" if v is None else v for v in astuple(report)]  # the report's fields in header order
+    row = list(astuple(report))  # the report's fields in header order
     write_csv(args.out or sys.stdout, header, [row])
     if args.json:
         write_json_mirror(Path(args.out).with_suffix(".json"), header, [row])
@@ -232,7 +214,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     _config_args(p, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scheme-out", default=None, help="write the scheme JSON (needed by evaluate)")
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("entropy", help="entropy rate estimate of a states file")
@@ -256,9 +237,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="accuracy and RMSE of a trace file")
     p.add_argument("--trace", required=True)
-    p.add_argument("--scheme", required=True, help="scheme JSON from quantize --scheme-out")
-    p.add_argument("--series", default=None, help="the trace's interchange series: score RMSE as run-all does")
-    p.add_argument("--stock-code", default="")
+    p.add_argument("--series", required=True, help="the trace's interchange series: score it as run-all does")
+    _config_args(p, required=True)
     p.add_argument("--model", default="")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)

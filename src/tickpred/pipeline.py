@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__
 from .entropy import estimate_entropy
 from .errors import ConfigError, DataError, read_text
-from .evaluate import evaluate_trace
+from .evaluate import EvaluationReport, evaluate_trace
 from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceSeries, filter_series, load_series
-from .predict import DiffusionKernelModel, run_protocol
+from .predict import DiffusionKernelModel, PredictionTrace, run_protocol
 from .predictability import fano_solve
 from .quantize import QuantizationScheme, fixed_count_scheme, fixed_interval_scheme, quantize_with
 from .stats import volatility
@@ -145,16 +145,19 @@ class PipelineConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "PipelineConfig":
-        """Parse key = value lines; a missing key, or an empty scalar, keeps the field default."""
+        """Parse key = value lines, each key at most once; a missing key, or an empty scalar, keeps the field default."""
         raw: dict[str, str] = {}
+        line_of: dict[str, int] = {}
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in line_of:
+                raise ConfigError(f"config key {key} is given twice, on lines {line_of[key]} and {lineno}")
+            raw[key], line_of[key] = value, lineno
 
         hints = get_type_hints(cls)
         keys = {_KEY_OF.get(f.name, f.name): f.name for f in fields(cls)}
@@ -270,6 +273,32 @@ def write_json_mirror(path, header: list[str], rows: list[list]) -> None:
     Path(path).write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def unit_trace(
+    config: PipelineConfig, states, series: PriceSeries, setting: QuantizationSetting, model: str
+) -> PredictionTrace:
+    """The online trace of one (stock, setting, model) unit, seeded by ``child_seed`` from the stock code and label."""
+    return run_protocol(
+        states,
+        series.day_boundaries,
+        model,
+        seed=child_seed(config.seed, series.stock_code, setting.label, model),
+        dk_params=config.dk_params() if model == "dk" else None,
+        stock_code=series.stock_code,
+    )
+
+
+def unit_report(
+    config: PipelineConfig, trace: PredictionTrace, series: PriceSeries, scheme: QuantizationScheme, ticks
+) -> EvaluationReport:
+    """Score a unit's trace, whose actual states are the ``series`` ticks at ``ticks`` (an index array or slice).
+
+    RMSE is against the raw prices of those ticks or their dequantized actual states, as ``config.rmse_against``
+    says; the ratio is to the series' mean price.
+    """
+    raw = series.prices_cny[ticks] if config.rmse_against == "raw" else None
+    return evaluate_trace(trace, scheme, raw_prices=raw, avgprice=series.mean_price())
+
+
 def process_stock(series: PriceSeries, config: PipelineConfig) -> dict:
     """Full per-stock analysis across every configured quantization setting."""
     result: dict = {
@@ -300,16 +329,8 @@ def process_stock(series: PriceSeries, config: PipelineConfig) -> dict:
             }
         )
         for model in MODELS:
-            trace = run_protocol(
-                seq,
-                series.day_boundaries,
-                model,
-                seed=child_seed(config.seed, series.stock_code, setting.label, model),
-                dk_params=config.dk_params() if model == "dk" else None,
-                stock_code=series.stock_code,
-            )
-            raw = series.prices_cny[trace.start_index :] if config.rmse_against == "raw" else None
-            report = evaluate_trace(trace, scheme, raw_prices=raw, avgprice=result["avgprice"])
+            trace = unit_trace(config, seq, series, setting, model)
+            report = unit_report(config, trace, series, scheme, slice(trace.start_index, None))
             entry["models"][model] = {
                 "acc": report.acc,
                 "rmse": report.rmse,
@@ -348,17 +369,20 @@ def stock_rows(results: dict[str, dict], labels: list[str]) -> tuple[list[dict],
     return units, evals
 
 
-def read_result(path) -> dict:
-    """A per-stock result JSON as ``process_stock`` wrote it.
+def read_result(path, labels=()) -> dict:
+    """A per-stock result JSON as ``process_stock`` wrote it, holding every setting in ``labels``.
 
-    Raises DataError naming a file that cannot be read, is not JSON or is not a per-stock result.
+    Raises DataError naming a file that cannot be read, is not JSON, is not a per-stock result or lacks a setting.
     """
     text = read_text(path)
     try:
         result = json.loads(text)
+        missing = [label for label in labels if label not in result["settings"]]
         stock_rows({Path(path).stem: result}, list(result["settings"]))  # reads every field a report needs
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise DataError(f"{path}: not a per-stock result ({type(exc).__name__}: {exc})") from None
+    if missing:
+        raise DataError(f"{path}: holds no result for setting {', '.join(missing)}")
     return result
 
 
@@ -428,11 +452,12 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     digests = {code: _series_digest(series) for code, series in all_series.items()}
     done = _done_in_manifest(manifest_path, manifest.config_hash)
     results: dict[str, dict] = {}
+    labels = [s.label for s in config.settings()]
     for code in sorted(c for c in all_series if done.get(c) == digests[c]):
         try:
-            results[code] = read_result(out_dir / "per_stock" / f"{code}.json")
+            results[code] = read_result(out_dir / "per_stock" / f"{code}.json", labels)
         except DataError:
-            pass  # a per-stock JSON that is gone, unreadable or not a result is recomputed
+            pass  # a per-stock JSON that is gone, unreadable, not a result or short of a setting is recomputed
     pending = [code for code in sorted(all_series) if code not in results]
     # before any manifest line goes out, so these directories hold only stocks recorded as done
     for sub, suffix in (("per_stock", ".json"), ("series", ".csv")):

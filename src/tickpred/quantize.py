@@ -8,12 +8,12 @@ CNY so that state boundaries fall exactly on price ticks.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 MIN_INTERVAL_CNY = 0.01  # price precision of the tick feed
 
@@ -59,21 +59,6 @@ class QuantizationScheme:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuantizationScheme":
-        """Inverse of ``to_json``; raises DataError unless the text is a scheme with whole widths >= 1."""
-        try:
-            d = json.loads(text)
-            scheme = cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
-        except (ValueError, TypeError) as exc:
-            raise DataError(f"not a quantization scheme: {exc}") from exc
-        if scheme.mode not in (FIXED_INTERVAL, FIXED_COUNT):
-            raise DataError(f"scheme mode must be {FIXED_INTERVAL!r} or {FIXED_COUNT!r}, got {scheme.mode!r}")
-        k, w = scheme._width()
-        if not all(type(v) is int for v in (k, w, scheme.origin_hundredths)) or min(k, w) < 1:
-            raise DataError(f"scheme widths and counts must be whole numbers >= 1: {scheme}")
-        return scheme
 
 
 @dataclass(frozen=True)

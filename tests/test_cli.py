@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,10 +32,7 @@ def test_full_subcommand_chain(workspace, capsys):
     assert [r["stock_code"] for r in report] == ["000001", "000002", "600000"]
     assert all(r["kept"] == "1" for r in report)
 
-    assert main([
-        "quantize", "--input", "series/000001.csv", "--setting", "T=0.05",
-        "--out", "states.csv", "--scheme-out", "scheme.json",
-    ]) == 0
+    assert main(["quantize", "--input", "series/000001.csv", "--setting", "T=0.05", "--out", "states.csv"]) == 0
     states = Path("states.csv").read_text().splitlines()
     assert states[0] == "state"
     assert all(s.isdigit() for s in states[1:])
@@ -55,20 +55,19 @@ def test_full_subcommand_chain(workspace, capsys):
     assert trace[0]["index"] == "300"
 
     assert main([
-        "evaluate", "--trace", "trace.csv", "--scheme", "scheme.json",
-        "--stock-code", "000001", "--model", "mc", "--series", "series/000001.csv",
-        "--out", "eval.csv", "--json",
+        "evaluate", "--trace", "trace.csv", "--series", "series/000001.csv", "--setting", "T=0.05",
+        "--model", "mc", "--out", "eval.csv", "--json",
     ]) == 0
     row = _read_rows("eval.csv")[0]
     assert 0.0 <= float(row["acc"]) <= 1.0
     assert json.loads(Path("eval.json").read_text())[0]["stock_code"] == "000001"
 
 
-def _stage_chain_reproduces_run_all(model):
+def _stage_chain_reproduces_run_all(model, rmse_against):
     """Every ``model`` row of run-all's evaluation.csv, rebuilt by the stage commands under the same config."""
     Path("run.cfg").write_text(
         "input = ticks.csv\nintervals = 0.01, 0.05\nstate_count = 20\nmin_length = 100\nmin_states = 5\n"
-        "dk_epochs = 2\nseed = 7\noutput_dir = out\n"
+        f"dk_epochs = 2\nseed = 7\nrmse_against = {rmse_against}\noutput_dir = out\n"
     )
     assert main(["run-all", "--config", "run.cfg"]) == 0
     metrics = ("acc", "rmse", "rmse_ratio_permille", "n_test")
@@ -81,18 +80,20 @@ def _stage_chain_reproduces_run_all(model):
     assert main(["ingest", "--input", "ticks.csv", "--out", "series", "--config", "run.cfg"]) == 0
     for (code, setting), row in expected.items():
         series, config = f"series/{code}.csv", ["--config", "run.cfg", "--setting", setting]
-        assert main(["quantize", "--input", series, *config, "--out", "s.csv", "--scheme-out", "k.json"]) == 0
+        assert main(["quantize", "--input", series, *config, "--out", "s.csv"]) == 0
         assert main(["predict", "--model", model, "--input", "s.csv", "--series", series, *config, "--out", "t.csv"]) == 0
-        assert main(["evaluate", "--trace", "t.csv", "--scheme", "k.json", "--series", series, "--out", "e.csv"]) == 0
-        assert [_read_rows("e.csv")[0][k] for k in metrics] == row, (code, setting)
+        assert main(["evaluate", "--trace", "t.csv", "--series", series, *config, "--out", "e.csv"]) == 0
+        assert [_read_rows("e.csv")[0][k] for k in metrics] == row, (code, setting, rmse_against)
 
 
 def test_stage_chain_reproduces_run_all_mc_rows(workspace):
-    _stage_chain_reproduces_run_all("mc")
+    for rmse_against in ("raw", "state"):  # evaluate scores against the truth the config names
+        _stage_chain_reproduces_run_all("mc", rmse_against)
 
 
 def test_stage_chain_reproduces_run_all_dk_rows(workspace):
-    _stage_chain_reproduces_run_all("dk")  # predict seeds each (stock, setting) as run-all does
+    for rmse_against in ("raw", "state"):  # predict seeds each (stock, setting) as run-all does
+        _stage_chain_reproduces_run_all("dk", rmse_against)
 
 
 def test_ingest_filter_drops_what_run_all_drops(workspace):
@@ -156,6 +157,15 @@ def test_readme_cli_commands_parse():
         assert parser.parse_args(command[1:]).command == command[1]
 
 
+def test_package_and_cli_import_needs_numpy_only():
+    # scipy, hypothesis and pytest are test extras: an install with numpy alone must import the package and its CLI
+    code = "import json, sys, tickpred, tickpred.cli, tickpred.features; print(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    loaded = {name.split(".")[0] for name in json.loads(out)}
+    assert "numpy" in loaded and not loaded & {"scipy", "hypothesis", "pytest"}
+
+
 def test_state_count_needs_a_second_day(workspace, capsys):
     write_tick_fixture("one_day.csv", codes=("777777",), days=1, ticks_per_day=300)
     assert main(["ingest", "--input", "one_day.csv", "--out", "series"]) == 0
@@ -179,19 +189,31 @@ def test_predict_states_and_series_of_different_lengths_is_data_error(workspace,
     assert err.startswith("data error: ") and "short.csv" in err and "series/000001.csv" in err, err
 
 
-def test_evaluate_without_series_scores_states_and_leaves_ratio_blank(workspace):
-    Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
-    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
-    assert main(["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--out", "e.csv"]) == 0
+SHORT_SERIES = "epoch_seconds,price_hundredths\n0,100\n1,101\n2,102\n3,101\n4,103\n"  # mean price 1.014 CNY
+
+
+@pytest.mark.parametrize(
+    "rmse_against, rmse, ratio",
+    [
+        ("state", "0.00707106781187", "6.97343965667"),  # truths 1.015, 1.035: the midpoints of the actual states
+        ("raw", "0.005", "4.93096646943"),  # truths 1.01, 1.03: the prices at index 3 and 4
+    ],
+    ids=["state", "raw"],
+)
+def test_evaluate_scores_against_the_truth_the_config_names(workspace, rmse_against, rmse, ratio):
+    Path("trace.csv").write_text("index,predicted,actual\n3,101,101\n4,102,103\n")  # predicted 1.015, 1.025 CNY
+    Path("short.csv").write_text(SHORT_SERIES)
+    Path("run.cfg").write_text(f"intervals = 0.01\nrmse_against = {rmse_against}\n")
+    argv = ["evaluate", "--trace", "trace.csv", "--series", "short.csv", "--config", "run.cfg", "--setting", "T=0.01"]
+    assert main([*argv, "--out", "e.csv"]) == 0
     row = _read_rows("e.csv")[0]
-    assert (row["acc"], row["rmse"], row["rmse_ratio_permille"], row["n_test"]) == ("0.5", "0.00707106781187", "", "2")
+    assert row == {"stock_code": "short", "model": "", "acc": "0.5", "rmse": rmse, "rmse_ratio_permille": ratio, "n_test": "2"}
 
 
 def test_evaluate_index_outside_series_names_both_files(workspace, capsys):
     Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
-    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
     Path("short.csv").write_text("epoch_seconds,price_hundredths\n0,100\n1,101\n2,102\n3,101\n")
-    assert main(["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--series", "short.csv"]) == 2
+    assert main(["evaluate", "--trace", "trace.csv", "--series", "short.csv", "--setting", "T=0.01"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "trace.csv" in err and "short.csv" in err, err
 
@@ -359,10 +381,10 @@ def test_invalid_quantize_interval_is_config_error(workspace, capsys, interval):
 
 def test_evaluate_json_needs_out(workspace, capsys):
     Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
-    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
-    assert main(["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--json"]) == 1
+    Path("short.csv").write_text(SHORT_SERIES)
+    assert main(["evaluate", "--trace", "trace.csv", "--series", "short.csv", "--setting", "T=0.01", "--json"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: ") and captured.out == ""
+    assert captured.err == "config error: --json writes a mirror of --out, so it needs --out\n" and captured.out == ""
 
 
 def test_ingest_expands_globs_and_reports_missing_files(workspace, capsys):
@@ -379,30 +401,17 @@ def test_ingest_expands_globs_and_reports_missing_files(workspace, capsys):
     assert "input file not found: missing.csv" in capsys.readouterr().err
 
 
-BAD_SCHEMES = {
-    "no-mode.json": "{}",
-    "no-width.json": '{"mode": "fixed_interval"}',
-    "not-an-object.json": "[1]",
-    "zero-count.json": '{"mode": "fixed_count", "sp": 0, "span_hundredths": 5}',
-    "unknown-mode.json": '{"mode": "log", "t_hundredths": 1}',
-    "fractional-width.json": '{"mode": "fixed_interval", "t_hundredths": 0.5}',
-    "not-json.json": "mode = fixed_interval",
-}
-
-
 @pytest.mark.parametrize(
     "argv, needle",
     [
         (["predictability", "--entropy-file", "nope.csv"], "nope.csv"),
         (["predictability", "--entropy-file", "no_s_est.csv"], "'s_est'"),
-        (["evaluate", "--trace", "no_predicted.csv", "--scheme", "scheme.json"], "'predicted'"),
+        (["evaluate", "--trace", "no_predicted.csv", "--series", "short.csv", "--setting", "T=0.01"], "'predicted'"),
         (["quantize", "--input", "nope.csv", "--setting", "T=0.01", "--out", "s.csv"], "nope.csv"),
         (["entropy", "--input", "nope.csv"], "nope.csv"),
         (["entropy", "--input", "empty.csv"], "empty.csv"),
         (["predict", "--model", "mc", "--input", "nope.csv", "--series", "trace.csv", "--setting", "T=0.01"], "nope.csv"),
-        (["evaluate", "--trace", "trace.csv", "--scheme", "nope.json"], "nope.json"),
-        (["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--series", "nope.csv"], "nope.csv"),
-        *((["evaluate", "--trace", "trace.csv", "--scheme", name], name) for name in BAD_SCHEMES),
+        (["evaluate", "--trace", "trace.csv", "--series", "nope.csv", "--setting", "T=0.01"], "nope.csv"),
     ],
     ids=[
         "missing-file",
@@ -412,19 +421,15 @@ BAD_SCHEMES = {
         "entropy-missing-input",
         "entropy-empty-input",
         "predict-missing-input",
-        "evaluate-missing-scheme",
         "evaluate-missing-prices",
-        *BAD_SCHEMES,
     ],
 )
 def test_unreadable_input_csv_is_data_error(workspace, capsys, argv, needle):
     Path("no_s_est.csv").write_text("stock_code,n,n_distinct\nA,40,3\n")
     Path("no_predicted.csv").write_text("index,actual\n3,1\n")
     Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
-    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
+    Path("short.csv").write_text(SHORT_SERIES)
     Path("empty.csv").write_text("")
-    for name, text in BAD_SCHEMES.items():
-        Path(name).write_text(text)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and needle in err
@@ -432,8 +437,9 @@ def test_unreadable_input_csv_is_data_error(workspace, capsys, argv, needle):
 
 def test_unwritable_out_is_config_error(workspace, capsys):
     Path("trace.csv").write_text("index,predicted,actual\n3,1,1\n4,2,1\n")
-    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
-    assert main(["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--out", "no_dir/x.csv"]) == 1
+    Path("short.csv").write_text(SHORT_SERIES)
+    argv = ["evaluate", "--trace", "trace.csv", "--series", "short.csv", "--setting", "T=0.01", "--out", "no_dir/x.csv"]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: no_dir/x.csv: ") and "Traceback" not in err
 
@@ -458,12 +464,11 @@ GBK = "平安银行".encode("gbk")  # Chinese tick vendors often ship GBK, not U
     [
         (["ingest", "--input", "gbk.csv", "--out", "series"], 2, "gbk.csv"),
         (["quantize", "--input", "gbk.csv", "--setting", "T=0.01", "--out", "s.csv"], 2, "gbk.csv"),
-        (["evaluate", "--trace", "trace.csv", "--scheme", "gbk.csv"], 2, "gbk.csv"),
-        (["evaluate", "--trace", "trace.csv", "--scheme", "scheme.json", "--series", "gbk.csv"], 2, "gbk.csv"),
+        (["evaluate", "--trace", "trace.csv", "--series", "gbk.csv", "--setting", "T=0.01"], 2, "gbk.csv"),
         (["features", "--per-stock", "per_stock", "--setting", "T=0.01"], 2, "000001.json"),
         (["run-all", "--config", "gbk.cfg"], 1, "gbk.cfg"),
     ],
-    ids=["ingest", "quantize", "evaluate-scheme", "evaluate-series", "features", "run-all-config"],
+    ids=["ingest", "quantize", "evaluate-series", "features", "run-all-config"],
 )
 def test_non_utf8_input_names_its_file(workspace, capsys, argv, exit_code, path):
     Path("gbk.csv").write_bytes(b"code,time,price\n000001,2021-01-04 09:30:00,1.00," + GBK + b"\n")
@@ -471,7 +476,6 @@ def test_non_utf8_input_names_its_file(workspace, capsys, argv, exit_code, path)
     Path("per_stock/000001.json").write_bytes(b'{"stock_code": "' + GBK + b'"}')
     Path("gbk.cfg").write_bytes(b"input = " + GBK + b".csv\n")
     Path("trace.csv").write_text("index,predicted,actual\n0,1,1\n")
-    Path("scheme.json").write_text('{"mode": "fixed_interval", "t_hundredths": 1}')
     assert main(argv) == exit_code
     err = capsys.readouterr().err
     kind = "config error: " if exit_code == 1 else "data error: "

@@ -57,6 +57,11 @@ def test_config_unknown_key_rejected():
         PipelineConfig.from_text("input = x.csv\nbogus = 1\n")
 
 
+def test_config_key_given_twice_rejected():
+    with pytest.raises(ConfigError, match="^config key seed is given twice, on lines 2 and 4$"):
+        PipelineConfig.from_text("input = x.csv\nseed = 1\n# a later edit\nseed = 2\n")
+
+
 def test_config_bad_value_rejected():
     with pytest.raises(ConfigError, match="seed"):
         PipelineConfig.from_text("input = x.csv\nseed = abc\n")
@@ -380,10 +385,10 @@ def test_interrupted_warm_rerun_keeps_finished_stocks(fixture_csv, tmp_path, mon
     if stage == "reuse":  # a kill while the second finished stock's JSON is read back
         read_result = pipeline.read_result
 
-        def interrupting_read(path):
+        def interrupting_read(path, labels=()):
             if path.name == "000002.json":
                 raise KeyboardInterrupt
-            return read_result(path)
+            return read_result(path, labels)
 
         monkeypatch.setattr(pipeline, "read_result", interrupting_read)
     else:
@@ -479,7 +484,8 @@ def test_per_stock_json_is_loadable(fixture_csv, tmp_path):
     assert payload["settings"]["T=0.05"]["models"]["dk"]["n_test"] > 0
 
 
-@pytest.mark.parametrize("text", ["{}", "not json"])
+# the last one holds no configured setting, so its stock's rows would be missing from the reports
+@pytest.mark.parametrize("text", ["{}", "not json", '{"settings": {}}'], ids=["{}", "not json", "no settings"])
 def test_rerun_recomputes_a_per_stock_json_that_is_not_a_result(fixture_csv, tmp_path, monkeypatch, text):
     config = _config(fixture_csv, tmp_path)
     run_all(config)

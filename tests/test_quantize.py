@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tickpred.quantize import (
-    QuantizationScheme,
     fixed_count_scheme,
     fixed_interval_scheme,
     quantize_fixed,
@@ -84,11 +83,6 @@ def test_quantization_preserves_price_order():
     for scheme in (fixed_interval_scheme(0.05), fixed_count_scheme(prices, 40)):
         states = scheme.states_of(prices)
         assert (np.diff(states) >= 0).all()
-
-
-def test_scheme_json_round_trip():
-    for scheme in (fixed_interval_scheme(0.05), fixed_count_scheme([1000, 1500], 100)):
-        assert QuantizationScheme.from_json(scheme.to_json()) == scheme
 
 
 def test_n_distinct_counts_distinct_states():
