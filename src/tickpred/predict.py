@@ -14,6 +14,7 @@ beyond where testing starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,22 @@ class PredictionTrace:
 # fires in day-one training; below 16 the per-pass overhead dominates, and
 # 16 to 128 train equally fast within the timing noise.
 GATE_WINDOW = 16
+
+
+def _sq_lengths(d: np.ndarray) -> np.ndarray:
+    """Squared length along the last axis. Prediction, the margin gates and
+    ``run_online`` all measure distance with this one expression, so that a
+    gate reads the same bits from any of them."""
+    return np.einsum("...k,...k->...", d, d)
+
+
+def _fire(zs: np.ndarray, zc: np.ndarray, c: int, i: int, j: int, d: np.ndarray, step: float) -> None:
+    """One fired step on context row c, positive row i and negative row j;
+    ``d`` holds context minus positive and context minus negative from before it."""
+    move = zs[i] - zs[j]
+    zs[i] += step * d[0]
+    zs[j] -= step * d[1]
+    zc[c] += step * move
 
 
 class _Rows:
@@ -86,6 +103,10 @@ class DiffusionKernelModel:
     changes before the first firing step, so every gate sees the embeddings
     it would see one step at a time. ``gate_checks`` and ``gate_fires``
     count the gates checked and fired.
+
+    ``predict`` and ``update`` take one tick each. ``run_online`` runs the
+    online phase over a whole sequence with the same result, bit for bit and
+    draw for draw, from one distance pass per tick.
     """
 
     def __init__(
@@ -101,8 +122,10 @@ class DiffusionKernelModel:
             raise ValueError("embedding dimension must be >= 2")
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if alpha0 < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not (math.isfinite(alpha0) and alpha0 >= 0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {alpha0}")
+        if not math.isfinite(margin):
+            raise ValueError(f"margin must be finite, got {margin}")
         if negatives_per_step < 0:
             raise ValueError("negatives per step must be >= 0")
         self.dim = dim
@@ -174,7 +197,7 @@ class DiffusionKernelModel:
         while p < len(pos):
             c, ij = ctx[p : p + GATE_WINDOW], pair[p : p + GATE_WINDOW]
             d = zc[c][:, None, :] - zs[ij]  # context minus positive, context minus negative
-            sq = np.einsum("abk,abk->ab", d, d)
+            sq = _sq_lengths(d)
             held = sq[:, 1] - sq[:, 0] >= margin
             f = int(held.argmin())
             if held[f]:
@@ -184,11 +207,7 @@ class DiffusionKernelModel:
             checks += f + 1
             fires += 1
             p += f + 1
-            i, j = ij[f]
-            move = zs[i] - zs[j]
-            zs[i] += step * d[f, 0]
-            zs[j] -= step * d[f, 1]
-            zc[c[f]] += step * move
+            _fire(zs, zc, c[f], *ij[f], d[f], step)
         self.gate_checks += checks
         self.gate_fires += fires
 
@@ -213,30 +232,122 @@ class DiffusionKernelModel:
         self.obs_counts[actual] = self.obs_counts.get(actual, 0) + 1
         ctx_row = self._ensure_context(context)
         k = self.negatives_per_step
-        self._sweep(np.full(k, ctx_row), np.full(k, pos_row), self.alpha0 / 10.0)
+        self._sweep(np.full(k, ctx_row), np.full(k, pos_row), self._online_rate)
+
+    @property
+    def _online_rate(self) -> float:
+        return self.alpha0 / 10.0
+
+    def run_online(self, states, start: int) -> np.ndarray:
+        """``predict`` then ``update`` on every tick from ``start`` on, with the
+        tick's context the two states before it; the predicted states.
+
+        One row of distances from the context to every state gives the
+        prediction and also answers the update's gates, which move nothing
+        until one fires; after a fire the row is computed again. The negatives
+        of a run of ticks come from one draw, which numpy streams exactly as
+        one draw per tick. A tick that registers a vector drawn from the
+        generator cuts the run and goes through ``predict`` and ``update``
+        themselves, so the draws keep their order: the first sight of a state,
+        and a context whose members are not both registered yet. Both depend
+        only on the sequence, so the cuts are found before the loop. After
+        ``train(states[:start])`` only the first kind occurs: train registers
+        every state of day one and each tick registers its actual state, so
+        every context online can be anchored at the midpoint of its members.
+        """
+        seq = np.asarray(getattr(states, "states", states), dtype=np.int64).tolist()
+        if not 2 <= start <= len(seq):
+            raise ValueError(f"online start {start} is outside 2..{len(seq)}")
+        known = set(self.state_rows)
+        cuts = []
+        for t in range(start, len(seq)):
+            a, b, s = seq[t - 2], seq[t - 1], seq[t]
+            if s not in known or not ((a in known and b in known) or (a, b) in self.context_rows):
+                cuts.append(t)
+            known.add(s)
+        predicted = np.empty(len(seq) - start, dtype=np.int64)
+        t = start
+        for cut in [*cuts, len(seq)]:
+            self._fused_run(seq, t, cut, predicted[t - start : cut - start])
+            if cut < len(seq):
+                context = (seq[cut - 2], seq[cut - 1])
+                predicted[cut - start] = self.predict(context)
+                self.update(context, seq[cut])
+            t = cut + 1
+        return predicted
+
+    def _fused_run(self, seq: list[int], t0: int, t1: int, out: np.ndarray) -> None:
+        """Ticks t0..t1-1 of ``run_online``, none of which registers a drawn vector."""
+        if t0 >= t1:
+            return
+        zs, n, rows, counts = self._zs.data, self._zs.n, self.state_rows, self.obs_counts
+        k, margin, step = self.negatives_per_step, self.margin, 2.0 * self._online_rate
+        pos = [rows[s] for s in seq[t0:t1]]
+        gated = n >= 2 and k > 0  # as in _sweep, which draws nothing otherwise
+        if gated:
+            neg = self.rng.integers(0, n - 1, size=(t1 - t0) * k).reshape(-1, k)
+            neg += neg >= np.array(pos)[:, None]
+        checks = fires = 0
+        for r in range(t1 - t0):
+            t = t0 + r
+            c = self._anchored((seq[t - 2], seq[t - 1]))
+            dist = self._distances(c)
+            out[r] = self._nearest(dist)
+            counts[seq[t]] = counts.get(seq[t], 0) + 1
+            if not gated:
+                continue
+            i, js, p = pos[r], neg[r], 0
+            while True:
+                held = dist[js[p:]] - dist[i] >= margin
+                f = int(held.argmin())
+                if held[f]:
+                    checks += k - p
+                    break
+                checks += f + 1
+                fires += 1
+                j = js[p + f]
+                zc = self._zc.data  # an anchored context may have grown it
+                _fire(zs, zc, c, i, j, zc[c] - zs[[i, j]], step)
+                p += f + 1
+                if p == k:
+                    break
+                dist = self._distances(c)
+        self.gate_checks += checks
+        self.gate_fires += fires
 
     # -- prediction --------------------------------------------------------
+
+    def _anchored(self, context: Context) -> int | None:
+        """The context's row; an unseen context is registered at the midpoint
+        of its members, and is None when a member is not registered."""
+        row = self.context_rows.get(context)
+        if row is None:
+            a = self.state_rows.get(context[0])
+            b = self.state_rows.get(context[1])
+            if a is None or b is None:
+                return None
+            row = self._ensure_context(context, 0.5 * (self._zs.data[a] + self._zs.data[b]))
+        return row
+
+    def _distances(self, ctx_row: int) -> np.ndarray:
+        """Squared distance from context row ``ctx_row`` to every state, in row order."""
+        return _sq_lengths(self._zc.data[ctx_row] - self._zs.view())
+
+    def _nearest(self, dist: np.ndarray) -> int:
+        """The state of the nearest row, the smallest id on ties."""
+        tied = (dist == dist.min()).nonzero()[0]
+        if len(tied) == 1:
+            return self._state_ids[tied[0]]
+        return min(self._state_ids[r] for r in tied)
 
     def predict(self, context: Context) -> int:
         if not self.state_rows:
             raise ValueError("model has no state embeddings")
-        context = (int(context[0]), int(context[1]))
-        ctx_row = self.context_rows.get(context)
+        ctx_row = self._anchored((int(context[0]), int(context[1])))
         if ctx_row is None:
-            a = self.state_rows.get(context[0])
-            b = self.state_rows.get(context[1])
-            if a is None or b is None:
-                # nothing to anchor the context: the most observed state, the smallest on ties
-                return min(self.obs_counts, key=lambda s: (-self.obs_counts[s], s))
-            ctx_row = self._ensure_context(context, 0.5 * (self._zs.data[a] + self._zs.data[b]))
-        zc = self._zc.data[ctx_row]
-        diff = self._zs.view() - zc
-        dist = np.einsum("ij,ij->i", diff, diff)
-        best = dist.min()
-        tied = np.flatnonzero(dist == best)
-        if len(tied) == 1:
-            return self._state_ids[tied[0]]
-        return min(self._state_ids[r] for r in tied)
+            # nothing to anchor the context: the most observed state, the smallest on ties
+            return min(self.state_rows, key=lambda s: (-self.obs_counts.get(s, 0), s))
+        return self._nearest(self._distances(ctx_row))
 
 
 def _stable_order(values: np.ndarray) -> np.ndarray:
@@ -283,8 +394,9 @@ def run_protocol(
     """Train on day one, then predict-then-update every tick from day two on.
 
     Deterministic given the seed: the diffusion-kernel model draws all its
-    randomness from one generator seeded here. The Markov chain takes at
-    most 2**31 states, so that its codes fit in int64.
+    randomness from one generator seeded here, and its online phase is
+    ``DiffusionKernelModel.run_online``. The Markov chain takes at most
+    2**31 states, so that its codes fit in int64.
     """
     kind = model_kind.lower()
     if kind not in ("mc", "dk"):
@@ -309,12 +421,7 @@ def run_protocol(
         predicted = ids[np.where(pair >= 0, pair, np.where(last >= 0, last, every))]
     else:
         model = DiffusionKernelModel(seed=seed, **(dk_params or {})).train(seq[:start])
-        lst = seq.tolist()
-        predicted = np.empty(len(lst) - start, dtype=np.int64)
-        for t in range(start, len(lst)):
-            context = (lst[t - 2], lst[t - 1])
-            predicted[t - start] = model.predict(context)
-            model.update(context, lst[t])
+        predicted = model.run_online(seq, start)
     return PredictionTrace(
         stock_code=stock_code,
         model=kind,

@@ -341,7 +341,11 @@ def test_exit_codes(workspace):
     assert main(["nonsense-command"]) == 1
 
 
-@pytest.mark.parametrize("line", ["dk_dim = 1", "dk_epochs = 0", "dk_alpha = -1", "dk_negatives = -1"])
+@pytest.mark.parametrize(
+    "line",
+    ["dk_dim = 1", "dk_epochs = 0", "dk_alpha = -1", "dk_negatives = -1"]
+    + ["dk_alpha = nan", "dk_alpha = inf", "dk_margin = nan", "dk_margin = inf"],
+)
 def test_invalid_dk_config_is_config_error(workspace, capsys, line):
     Path("dk.cfg").write_text(f"input = ticks.csv\nprice_column = last_price\noutput_dir = out\n{line}\n")
     assert main(["run-all", "--config", "dk.cfg"]) == 1

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tickpred import predict
@@ -276,17 +276,34 @@ def test_dk_negatives_skip_positive_and_reach_every_other_state(positive):
     assert all(n > 0 for n in fires.values())
 
 
-def _dk_run(seq, split, params, seed):
-    """Train on seq[:split], then predict and update online; the trace and every embedding."""
-    model = DiffusionKernelModel(seed=seed, **params).train(seq[:split])
+def _dk_model_state(model):
+    """Everything that the online phase can change, as bytes and plain values."""
+    return (
+        {s: model.state_embedding(s).tobytes() for s in model.state_rows},
+        {c: model.context_embedding(c).tobytes() for c in model.context_rows},
+        dict(model.state_rows),
+        dict(model.context_rows),
+        dict(model.obs_counts),
+        (model.gate_checks, model.gate_fires),
+        model.rng.bit_generator.state,
+    )
+
+
+def _predict_then_update(model, seq, start):
+    """The online phase one tick at a time: the oracle for run_online."""
     predicted = []
-    for t in range(split, len(seq)):
+    for t in range(start, len(seq)):
         predicted.append(model.predict((seq[t - 2], seq[t - 1])))
         model.update((seq[t - 2], seq[t - 1]), seq[t])
-    states = {s: model.state_embedding(s).tobytes() for s in model.state_rows}
-    contexts = {c: model.context_embedding(c).tobytes() for c in model.context_rows}
+    return predicted
+
+
+def _dk_run(seq, split, params, seed):
+    """Train on seq[:split], then predict and update online; the trace and the model's state."""
+    model = DiffusionKernelModel(seed=seed, **params).train(seq[:split])
+    predicted = _predict_then_update(model, seq, split)
     trace = run_protocol(seq, [0, split], "dk", seed=seed, dk_params=params).predicted
-    return predicted, states, contexts, trace.tobytes(), (model.gate_checks, model.gate_fires)
+    return predicted, _dk_model_state(model), trace.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,6 +322,65 @@ def test_dk_windowed_gate_matches_one_step_at_a_time(seq, split, seed, dim, nega
     with mock.patch.object(predict, "GATE_WINDOW", 1):
         reference = _dk_run(seq, split, params, seed)
     assert windowed == reference
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 2**32, 2**40 + 3])
+def test_integers_draws_the_same_stream_in_one_call_or_many(bound):
+    # run_online draws a run of ticks' negatives at once where update draws k per tick;
+    # numpy does not promise that the two agree, so pin it, generator state included
+    k, calls = 5, 9
+    many, one = np.random.Generator(np.random.PCG64(11)), np.random.Generator(np.random.PCG64(11))
+    drawn = np.concatenate([many.integers(0, bound, size=k) for _ in range(calls)])
+    assert drawn.tobytes() == one.integers(0, bound, size=calls * k).tobytes()
+    assert many.bit_generator.state == one.bit_generator.state
+    if bound == 1:  # nothing to draw, nothing consumed
+        assert one.bit_generator.state == np.random.Generator(np.random.PCG64(11)).bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    day_one=st.lists(st.integers(0, 3), min_size=3, max_size=60),
+    online=st.lists(st.integers(0, 40), max_size=150),
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 20),
+    negatives=st.integers(0, 6),
+    margin=st.sampled_from([0.25, 1.0, 4.0]),
+)
+@example(day_one=[2, 2, 2], online=[2, 2, 3, 2, 3, 3], seed=1, dim=4, negatives=5, margin=1.0)  # n = 1 at the start
+@example(day_one=[0, 1, 2, 0, 1], online=[2, 5, 0, 1, 5], seed=2, dim=3, negatives=0, margin=1.0)  # no negatives
+@example(day_one=[0, 1, 0, 1], online=[*range(4, 30)] * 2, seed=3, dim=5, negatives=5, margin=4.0)  # rows grow
+@example(day_one=[0, 1, 2, 3], online=[], seed=4, dim=2, negatives=5, margin=1.0)  # start == len(seq)
+def test_dk_run_online_matches_predict_then_update(day_one, online, seed, dim, negatives, margin):
+    seq = day_one + online
+    params = dict(dim=dim, epochs=2, alpha0=0.3, margin=margin, negatives_per_step=negatives)
+    oracle = DiffusionKernelModel(seed=seed, **params).train(day_one)
+    predicted = _predict_then_update(oracle, seq, len(day_one))
+    fused = DiffusionKernelModel(seed=seed, **params).train(day_one)
+    assert fused.run_online(seq, len(day_one)).tobytes() == np.array(predicted, dtype=np.int64).tobytes()
+    assert _dk_model_state(fused) == _dk_model_state(oracle)
+
+
+def test_dk_run_online_keeps_draw_order_when_a_context_cannot_be_anchored():
+    # without train, a context whose members are unregistered draws its own vector online;
+    # the fused loop hands such ticks to predict and update, so the stream stays in order
+    seq = [7, 8, 1, 2, 1, 2, 9, 1, 2]
+    models = []
+    for _ in range(2):
+        model = DiffusionKernelModel(dim=3, alpha0=0.3, negatives_per_step=3, seed=5)
+        model.set_state_embedding(1, [0.0, 0.0, 0.0])
+        model.set_state_embedding(2, [1.0, 0.0, 0.0])
+        models.append(model)
+    oracle, fused = models
+    predicted = _predict_then_update(oracle, seq, 2)
+    assert fused.run_online(seq, 2).tolist() == predicted
+    assert _dk_model_state(fused) == _dk_model_state(oracle)
+
+
+def test_dk_run_online_rejects_a_start_without_context():
+    model = DiffusionKernelModel(seed=0).train([1, 2, 3, 1])
+    for start in (1, 5):
+        with pytest.raises(ValueError, match="outside 2..4"):
+            model.run_online([1, 2, 3, 1], start)
 
 
 def test_dk_predict_single_state_model():
@@ -348,6 +424,14 @@ def test_dk_unseen_members_fall_back_to_global_mode():
     assert model.predict((100, 200)) == 6
 
 
+def test_dk_unseen_members_without_observations_give_smallest_state():
+    # every count is 0, so "most observed, smallest on ties" is the smallest registered state
+    model = DiffusionKernelModel(dim=2, seed=0)
+    model.set_state_embedding(7, [0.0, 0.0])
+    model.set_state_embedding(3, [1.0, 0.0])
+    assert model.predict((100, 200)) == 3
+
+
 def test_dk_learns_deterministic_cycle():
     model = DiffusionKernelModel(dim=8, seed=1).train([1, 2, 3] * 50)
     zc = model.context_embedding((1, 2))
@@ -367,8 +451,12 @@ def test_dk_parameter_validation():
         DiffusionKernelModel(dim=1)
     with pytest.raises(ValueError, match="epochs"):
         DiffusionKernelModel(epochs=0)
-    with pytest.raises(ValueError, match="rate"):
-        DiffusionKernelModel(alpha0=-0.1)
+    for alpha0 in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rate"):
+            DiffusionKernelModel(alpha0=alpha0)
+    for margin in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="margin"):
+            DiffusionKernelModel(margin=margin)
     with pytest.raises(ValueError, match="negatives"):
         DiffusionKernelModel(negatives_per_step=-1)
 
