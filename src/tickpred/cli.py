@@ -71,7 +71,7 @@ def cmd_ingest(args) -> int:
             series.to_interchange(out_dir / f"{code}.csv")
         rows.append([code, len(series), series.n_days, int(reason is None), reason or ""])
     write_csv(args.report or sys.stdout, ["stock_code", "n_ticks", "n_days", "kept", "reason"], rows)
-    print(f"{len(series_map)} stocks, {malformed} malformed rows skipped", file=sys.stderr)
+    print(f"{len(series_map)} stocks, {sum(malformed.values())} malformed rows skipped", file=sys.stderr)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Parse tick files into per-stock price series and filter out unusable ones.
+r"""Parse tick files into per-stock price series and filter out unusable ones.
 
 A parsed tick is a plain ``(stock_code, epoch_seconds, price_hundredths)``
 row. Prices are integer hundredths of CNY (the feed's precision is 0.01),
@@ -9,6 +9,19 @@ trading day is a run of ticks with one exchange-local calendar date: one
 value of ``epoch_seconds // 86400``, at ingest and after an interchange
 round trip. Days are concatenated with no gap markers: one stock is one
 continuous sequence across its whole sample.
+
+Each file is read once into columns (``TickColumns``): its sorted stock
+codes, and per row an index into them, the epoch seconds and the price in
+hundredths. A plain file is parsed column-wise by numpy over its bytes:
+one with no ``"``, with ``\n`` or ``\r\n`` line ends, no blank line, every
+line as wide as the header, codes with no surrounding whitespace, naive
+``YYYY-MM-DD HH:MM:SS`` stamps and prices of at most 13 integer digits and
+2 decimals, all above 0. Every other file, offsets, fractions of a second,
+quotes and malformed rows included, goes through the row parser (``csv``,
+``datetime.fromisoformat`` and an exact price pattern), which counts and
+skips malformed rows. The columns, and so the series, are the same either
+way. ``load_series`` groups the files' columns into series with one stable
+sort.
 """
 
 from __future__ import annotations
@@ -149,6 +162,33 @@ def _detect_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
+@dataclass(frozen=True)
+class TickColumns:
+    """Parsed ticks in input order: row i is ``(codes[code_index[i]], epoch[i], price[i])``.
+
+    ``codes`` is sorted and holds each stock code once; the three arrays are int64.
+    """
+
+    codes: list[str]
+    code_index: np.ndarray
+    epoch: np.ndarray
+    price: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Row]) -> "TickColumns":
+        codes = sorted({code for code, _, _ in rows})
+        index = {code: i for i, code in enumerate(codes)}
+        return cls(
+            codes,
+            np.fromiter((index[code] for code, _, _ in rows), np.int64, len(rows)),
+            np.fromiter((t for _, t, _ in rows), np.int64, len(rows)),
+            np.fromiter((p for _, _, p in rows), np.int64, len(rows)),
+        )
+
+    def rows(self) -> list[Row]:
+        return list(zip([self.codes[i] for i in self.code_index.tolist()], self.epoch.tolist(), self.price.tolist()))
+
+
 def parse_ticks(source, schema: ColumnSchema) -> tuple[list[Row], int]:
     """Parse delimiter-separated tick text into ``(stock_code, epoch_seconds, price_hundredths)`` rows.
 
@@ -158,37 +198,58 @@ def parse_ticks(source, schema: ColumnSchema) -> tuple[list[Row], int]:
     DataError for a missing file or text that is not UTF-8, SchemaError when a
     mapped column is missing and EmptyInputError when nothing parses.
     """
-    if isinstance(source, Path) or (isinstance(source, str) and source and "\n" not in source):
-        if not Path(source).is_file():
-            raise DataError(f"input file not found: {source}")
-        with open(source, "r", encoding="utf-8", newline="") as f:
-            return _parse_stream(f, schema, str(source))
-    if isinstance(source, bytes):
-        return _parse_stream(io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline=""), schema, "<bytes>")
-    if isinstance(source, str):
-        return _parse_stream(io.StringIO(source), schema, "<string>")
-    return _parse_stream(source, schema, getattr(source, "name", "<stream>"))
+    columns, malformed = parse_columns(source, schema)
+    return columns.rows(), malformed
 
 
-def _parse_stream(f, schema: ColumnSchema, origin: str) -> tuple[list[Row], int]:
+def parse_columns(source, schema: ColumnSchema) -> tuple[TickColumns, int]:
+    """``parse_ticks`` as columns: one source's ticks and the number of malformed rows skipped.
+
+    A plain file (see ``_plain_columns``) is read column-wise by numpy; any
+    other goes through the row parser. Both read a plain file to the same columns.
+    """
+    data, origin = _source_bytes(source)
     try:
-        return _parse_rows(f, schema, origin)
-    except UnicodeDecodeError as exc:  # the text is decoded as it is read
+        data.decode("utf-8")  # the whole text is checked before either parser reads a field
+    except UnicodeDecodeError as exc:
         raise not_utf8(origin, exc) from None
-
-
-def _parse_rows(f, schema: ColumnSchema, origin: str) -> tuple[list[Row], int]:
-    header_line = f.readline()
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    header_line = lines.readline()
     if not header_line.strip():
         raise EmptyInputError(f"{origin}: empty input")
     delimiter = _detect_delimiter(header_line)
     header = next(csv.reader([header_line], delimiter=delimiter))
-    code_i, time_i, price_i = schema.resolve(header)
-    needed = max(code_i, time_i, price_i) + 1
+    fields = schema.resolve(header)
+    columns = _plain_columns(data, delimiter, len(header), fields)
+    if columns is not None:
+        return columns, 0
+    rows, malformed = _parse_rows(lines, delimiter, fields)
+    if not rows:
+        raise EmptyInputError(f"{origin}: no parseable rows ({malformed} malformed)")
+    return TickColumns.from_rows(rows), malformed
 
+
+def _source_bytes(source) -> tuple[bytes, str]:
+    """The bytes of a tick source, and the name its errors give it."""
+    if isinstance(source, Path) or (isinstance(source, str) and source and "\n" not in source):
+        if not Path(source).is_file():
+            raise DataError(f"input file not found: {source}")
+        return Path(source).read_bytes(), str(source)
+    if isinstance(source, bytes):
+        return source, "<bytes>"
+    # a lone surrogate passes the encoding and then fails the UTF-8 check, as it would in a file
+    if isinstance(source, str):
+        return source.encode("utf-8", "surrogatepass"), "<string>"
+    return source.read().encode("utf-8", "surrogatepass"), getattr(source, "name", "<stream>")
+
+
+def _parse_rows(lines, delimiter: str, fields: tuple[int, int, int]) -> tuple[list[Row], int]:
+    """The row parser: each row through ``csv``, ``datetime.fromisoformat`` and the price pattern."""
+    code_i, time_i, price_i = fields
+    needed = max(fields) + 1
     rows: list[Row] = []
     malformed = 0
-    for row in csv.reader(f, delimiter=delimiter):
+    for row in csv.reader(lines, delimiter=delimiter):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) < needed:
@@ -204,18 +265,121 @@ def _parse_rows(f, schema: ColumnSchema, origin: str) -> tuple[list[Row], int]:
             malformed += 1
             continue
         rows.append((code, epoch, price))
-    if not rows:
-        raise EmptyInputError(f"{origin}: no parseable rows ({malformed} malformed)")
     return rows, malformed
 
 
-def build_series(rows: Sequence[Row]) -> dict[str, PriceSeries]:
-    """Per-stock series in code order, each sorted by local time; ties keep input order."""
-    codes = sorted({code for code, _, _ in rows})
+_NL, _DOT, _ZERO = b"\n.0"
+_STAMP = b"0000-00-00 00:00:00"  # a 0 stands for any digit
+_STAMP_FIELD = [0, 0, 0, 0, None, 1, 1, None, 2, 2, None, 3, 3, None, 4, 4, None, 5, 5]  # the part each digit is in
+_MAX_PRICE_DIGITS = 13  # integer digits; with 2 decimals, hundredths stay far inside int64
+
+
+def _plain_columns(data: bytes, delimiter: str, width: int, fields: tuple[int, int, int]) -> TickColumns | None:
+    r"""Columns of a plain tick file, read by numpy over its bytes; None when the file needs the row parser.
+
+    A file is plain when it has no ``"``, its line ends are ``\n`` or
+    ``\r\n``, every line after the header has the header's ``width`` fields
+    (so none is blank) and, in every row, the code is non-empty with a
+    printable ASCII byte at each end, the stamp is a valid ``YYYY-MM-DD
+    HH:MM:SS`` and the price matches ``\d{1,13}(\.\d{1,2})?`` and is above 0.
+    The row parser reads such a file to the same columns, with no malformed row.
+    """
+    header_end = data.find(b"\n")
+    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")  # a line end to the row parser
+    if b'"' in data or lone_cr or header_end < 0:
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    body = np.frombuffer(data, np.uint8)[header_end + 1 :]
+    field_end = body == ord(delimiter)
+    field_end |= body == _NL
+    ends = np.flatnonzero(field_end)  # where each field stops
+    del field_end
+    if len(ends) == 0 or len(ends) != width * data.count(b"\n", header_end + 1):
+        return None
+    ends = ends.reshape(-1, width)
+    if np.any(body[ends[:, -1]] != _NL):  # with the count above, every line has exactly `width` fields
+        return None
+
+    def span(column: int) -> tuple[np.ndarray, np.ndarray]:
+        start = ends[:, column - 1] + 1 if column else np.concatenate(([0], ends[:-1, -1] + 1))
+        stop = ends[:, column]
+        return start, stop - (body[stop - 1] == ord("\r")) if column == width - 1 else stop
+
+    code_i, time_i, price_i = fields
+    start, stop = span(code_i)
+    edges = np.concatenate((body[start], body[stop - 1]))  # printable ASCII: nothing for str.strip to remove
+    if np.any(stop <= start) or np.any((edges <= 32) | (edges >= 127)):
+        return None
+    chars = _field_chars(body, start, stop - start)
+    codes, code_index = np.unique(chars.view(f"S{chars.shape[1]}").ravel(), return_inverse=True)
+
+    start, stop = span(time_i)
+    if np.any(stop - start != len(_STAMP)):
+        return None
+    parts = np.zeros((6, len(start)), np.int32)  # year, month, day, hour, minute, second
+    for k, (expected, part) in enumerate(zip(_STAMP, _STAMP_FIELD)):
+        byte = body[start + k]
+        if part is None:
+            if np.any(byte != expected):
+                return None
+            continue
+        digit = byte - np.uint8(_ZERO)  # a byte below "0" wraps past 9
+        if np.any(digit > 9):
+            return None
+        parts[part] = parts[part] * 10 + digit
+    year, month, day, hour, minute, second = parts
+    months = (year - np.int64(1970)) * 12 + month - 1
+    first_day, next_first_day = (
+        m.view("datetime64[M]").astype("datetime64[D]").view(np.int64) for m in (months, months + 1)
+    )
+    valid = (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= next_first_day - first_day)
+    if not np.all(valid & (hour <= 23) & (minute <= 59) & (second <= 59)):
+        return None
+    epoch = (first_day + day - 1) * 86400 + hour * 3600 + minute * 60 + second
+
+    start, stop = span(price_i)
+    length = stop - start
+    if np.any(length < 1) or np.any(length > _MAX_PRICE_DIGITS + 3):
+        return None
+    price = np.zeros(len(start), np.int64)  # every digit in turn, the point skipped
+    point = length  # where the integer digits stop
+    for k, byte in enumerate(_field_chars(body, start, length).T):
+        is_dot = byte == _DOT
+        digit = byte - np.uint8(_ZERO)
+        is_digit = digit <= 9  # NUL past a field's end is neither
+        if np.any((k < length) & ~is_digit & ~is_dot) or np.any(is_dot & (point < length)):  # or a second point
+            return None
+        price = np.where(is_digit, price * 10 + digit, price)
+        point = np.where(is_dot, k, point)
+    decimals = np.maximum(length - point - 1, 0)
+    if np.any((point < 1) | (point > _MAX_PRICE_DIGITS) | (point == length - 1) | (decimals > 2)):
+        return None
+    price *= 10 ** (2 - decimals)
+    if np.any(price <= 0):
+        return None
+    codes = [c.decode("utf-8") for c in codes.tolist()]
+    return TickColumns(codes, code_index.astype(np.int64, copy=False), epoch, price)
+
+
+def _field_chars(body: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The fields ``body[start:start + length]``, one row of bytes each, NUL past a field's end."""
+    width = int(length.max())
+    chars = np.zeros((len(start), width), np.uint8)
+    for k in range(width):  # a column at a time keeps the index arrays one row wide
+        chars[:, k] = np.where(length > k, body.take(start + k, mode="clip"), 0)
+    return chars
+
+
+def group_series(tables: Sequence[TickColumns]) -> dict[str, PriceSeries]:
+    """Per-stock series in code order, each sorted by local time; ties keep input order, ``tables`` in turn."""
+    codes = sorted(set().union(*(t.codes for t in tables)))
+    if not codes:
+        return {}
     index = {code: i for i, code in enumerate(codes)}
-    code_index = np.fromiter((index[code] for code, _, _ in rows), np.int64, len(rows))
-    epoch = np.fromiter((t for _, t, _ in rows), np.int64, len(rows))
-    price = np.fromiter((p for _, _, p in rows), np.int64, len(rows))
+    code_index = np.concatenate([np.array([index[c] for c in t.codes], np.int64)[t.code_index] for t in tables])
+    epoch = np.concatenate([t.epoch for t in tables])
+    price = np.concatenate([t.price for t in tables])
     order = np.lexsort((epoch, code_index))  # stable: duplicate timestamps keep input order
     starts = np.flatnonzero(np.diff(code_index[order])) + 1
     return {
@@ -224,21 +388,27 @@ def build_series(rows: Sequence[Row]) -> dict[str, PriceSeries]:
     }
 
 
-def load_series(patterns: Iterable[str], schema: ColumnSchema) -> tuple[dict[str, PriceSeries], int]:
+def build_series(rows: Sequence[Row]) -> dict[str, PriceSeries]:
+    """Per-stock series in code order, each sorted by local time; ties keep input order."""
+    return group_series([TickColumns.from_rows(rows)])
+
+
+def load_series(patterns: Iterable[str], schema: ColumnSchema) -> tuple[dict[str, PriceSeries], dict[str, int]]:
     """Parse every tick file the glob patterns name into per-stock series.
 
     A pattern that matches nothing is taken as a plain path. Returns the
-    series and the number of malformed rows skipped; raises DataError for a
-    missing file.
+    series and the number of malformed rows skipped in each file that had
+    any; raises DataError for a missing file.
     """
-    rows: list[Row] = []
-    malformed = 0
+    tables: list[TickColumns] = []
+    malformed: dict[str, int] = {}
     for pattern in patterns:
         for path in sorted(glob.glob(pattern)) or [pattern]:
-            file_rows, bad = parse_ticks(Path(path), schema)
-            rows.extend(file_rows)
-            malformed += bad
-    return build_series(rows), malformed
+            columns, bad = parse_columns(Path(path), schema)
+            tables.append(columns)
+            if bad:
+                malformed[path] = malformed.get(path, 0) + bad
+    return group_series(tables), malformed
 
 
 def filter_series(

@@ -5,9 +5,10 @@ setting, the pipeline produces the entropy estimate, the accuracy upper
 bound, online traces for both predictors and their evaluation rows, then
 aggregates arithmetic-mean summaries and plot-ready distribution CSVs. A
 manifest gets one status line per stock as soon as that stock is finished,
-so an interrupted or repeated run skips finished stocks whose parsed series
-is unchanged, and one corrupt stock cannot abort the rest. Outputs are byte-identical for identical config and
-seed.
+so an interrupted or repeated run skips finished stocks whose parsed series,
+config and package source are unchanged, and one corrupt stock cannot abort
+the rest. Its header also counts the malformed rows skipped in each input
+file. Outputs are byte-identical for identical config and seed.
 """
 
 from __future__ import annotations
@@ -230,7 +231,9 @@ class QuantizationSetting:
 @dataclass
 class RunManifest:
     config_hash: str
+    code_digest: str
     tool_version: str = __version__
+    malformed: dict[str, int] = field(default_factory=dict)  # input file -> malformed rows skipped, where any
     statuses: dict[str, tuple[str, str]] = field(default_factory=dict)  # code -> (status, reason)
 
     def mark(self, code: str, status: str, reason: str = "") -> None:
@@ -417,8 +420,17 @@ def _series_digest(series: PriceSeries) -> str:
     return hashlib.sha256(series.epoch_seconds.tobytes() + series.prices_hundredths.tobytes()).hexdigest()
 
 
-def _done_in_manifest(path: Path, config_hash: str) -> dict[str, str | None]:
-    """Series digest of each stock that a manifest written under ``config_hash`` records as done.
+def code_digest() -> str:
+    """sha256 over the name and bytes of each of this package's source files, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.name}\0{len(source)}\0".encode("utf-8") + source)
+    return digest.hexdigest()
+
+
+def _done_in_manifest(path: Path, key: dict[str, str]) -> dict[str, str | None]:
+    """Series digest of each stock that a manifest whose header holds every item of ``key`` records as done.
 
     A manifest that cannot be read counts as empty; a line torn by a kill mid-write is skipped.
     """
@@ -432,7 +444,7 @@ def _done_in_manifest(path: Path, config_hash: str) -> dict[str, str | None]:
             entries.append(json.loads(line))
         except json.JSONDecodeError:
             entries.append({})
-    if not entries or entries[0].get("config_hash") != config_hash:
+    if not entries or any(entries[0].get(k) != v for k, v in key.items()):
         return {}
     return {e["stock"]: e.get("digest") for e in entries[1:] if e.get("status") == "done"}
 
@@ -445,12 +457,14 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
     schema = ColumnSchema(code=config.code_column, time=config.time_column, price=config.price_column)
-    all_series, _malformed = load_series(config.inputs, schema)
-    manifest = RunManifest(config_hash=config.content_hash())
+    all_series, malformed = load_series(config.inputs, schema)
+    manifest = RunManifest(config.content_hash(), code_digest(), malformed=malformed)
     manifest_path = out_dir / "manifest.jsonl"
-    # a stock is reused only when its parsed series is the one its "done" line records
+    # a stock is reused only under the config and code that made it, and when its
+    # parsed series is the one its "done" line records
     digests = {code: _series_digest(series) for code, series in all_series.items()}
-    done = _done_in_manifest(manifest_path, manifest.config_hash)
+    key = {"config_hash": manifest.config_hash, "code_digest": manifest.code_digest}
+    done = _done_in_manifest(manifest_path, key)
     results: dict[str, dict] = {}
     labels = [s.label for s in config.settings()]
     for code in sorted(c for c in all_series if done.get(c) == digests[c]):
@@ -474,7 +488,7 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
 
         # the header and every reused stock go in one write, so a kill can lose
         # the previous run's "done" lines only inside that write
-        header = json.dumps({"config_hash": manifest.config_hash, "tool_version": manifest.tool_version})
+        header = json.dumps({**key, "tool_version": manifest.tool_version, "malformed": manifest.malformed})
         print("\n".join([header, *(record(code, "done") for code in results)]), file=log, flush=True)
 
         parallel = config.workers > 1 and len(pending) > 1

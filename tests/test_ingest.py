@@ -6,16 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tickpred import ingest
 from tickpred.errors import DataError, EmptyInputError, SchemaError, read_table
 from tickpred.ingest import (
     ColumnSchema,
     PriceSeries,
     build_series,
     filter_series,
+    group_series,
+    load_series,
+    parse_columns,
     parse_price_hundredths,
     parse_ticks,
 )
 from tickpred.quantize import fixed_interval_scheme
+from tickpred.synthetic import write_tick_fixture
 
 SCHEMA = ColumnSchema(code=1, time=2, price=3)
 
@@ -236,6 +241,127 @@ def test_build_series_matches_dict_grouping_oracle(ticks):
         code: (s.epoch_seconds.tolist(), s.prices_hundredths.tolist(), s.day_boundaries) for code, s in series.items()
     } == _oracle_series(parsed)
     assert list(series) == sorted(series)
+
+
+# Row-level departures from a plain file. Each sends the file to the row parser:
+# the row parses there to the same tick, or is malformed there.
+_FALLBACK = {
+    "offset": lambda c, t, p: (c, t + "+08:00", p),
+    "fraction": lambda c, t, p: (c, t + ".250", p),
+    "feb30": lambda c, t, p: (c, t[:5] + "02-30" + t[10:], p),
+    "hour24": lambda c, t, p: (c, t[:11] + "24" + t[13:], p),
+    "three_decimals": lambda c, t, p: (c, t, p.split(".")[0] + ".001"),
+    "two_points": lambda c, t, p: (c, t, p.split(".")[0] + ".1.2"),
+    "zero_price": lambda c, t, p: (c, t, "0.00"),
+    "fourteen_digits": lambda c, t, p: (c, t, "1" * 14),
+    "quoted": lambda c, t, p: (f'"{c}"', t, p),
+    "code_padded_before": lambda c, t, p: (f" {c}", t, p),
+    "code_padded_after": lambda c, t, p: (f"{c} ", t, p),
+    "padded": lambda c, t, p: (c, f"{t} ", f" {p}"),
+    "short": lambda c, t, p: (c, t),
+    "blank_line_before": lambda c, t, p: (c, t, p),
+}
+
+
+def _tick_file(ticks, layout, fallback):
+    """The text of a tick file and its schema; ``fallback`` maps a row index to a ``_FALLBACK`` key."""
+    delimiter, line_end, order, extra, named, final_line_end = layout
+    names = ["code", "stamp", "last"]
+    lines = []
+    for i, (code, day, second, hundredths, short_price) in enumerate(ticks):
+        stamp = f"{day.isoformat()} {second // 3600:02d}:{second // 60 % 60:02d}:{second % 60:02d}"
+        price = f"{hundredths // 100}.{hundredths % 100:02d}"
+        if short_price:  # 12.50 -> 12.5, 12.00 -> 12
+            price = price.rstrip("0").rstrip(".")
+        fields = (code, stamp, price)
+        kind = fallback.get(i)
+        if kind == "blank_line_before":
+            lines.append("")
+        if kind is not None:
+            fields = _FALLBACK[kind](*fields)
+        row = [fields[j] for j in order if j < len(fields)] + ["7"] * extra
+        lines.append(delimiter.join(row))
+    header = delimiter.join([names[j] for j in order] + ["volume"] * extra)
+    text = line_end.join([header, *lines]) + (line_end if final_line_end else "")
+    if named:
+        schema = ColumnSchema(code="code", time="stamp", price="last")
+    else:
+        schema = ColumnSchema(*(order.index(j) + 1 for j in range(3)))
+    return text, schema
+
+
+def _outcome(text, schema):
+    """Series bytes and malformed count of a parse, or the type of the error it raised."""
+    try:
+        columns, malformed = parse_columns(text.encode("utf-8"), schema)
+    except EmptyInputError:
+        return EmptyInputError
+    series = {
+        c: (s.epoch_seconds.tobytes(), s.prices_hundredths.tobytes(), s.day_boundaries)
+        for c, s in group_series([columns]).items()
+    }
+    return series, malformed
+
+
+@st.composite
+def _ticks_and_fallback(draw):
+    ticks = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["000001", "600000", "B", "300750.SZ"]),
+                st.dates(date(1960, 1, 1), date(2030, 12, 31)),  # pre-1970 and leap days need no fallback
+                st.integers(0, 86399),
+                st.integers(1, 10**8),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    rows = st.integers(0, len(ticks) - 1)
+    return ticks, draw(st.just({}) | st.dictionaries(rows, st.sampled_from(sorted(_FALLBACK)), min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ticks_and_fallback=_ticks_and_fallback(),
+    layout=st.tuples(
+        st.sampled_from([",", "\t"]),
+        st.sampled_from(["\n", "\r\n"]),
+        st.permutations([0, 1, 2]),
+        st.integers(0, 1),  # a column the schema does not map
+        st.booleans(),  # columns named in the schema, or numbered
+        st.booleans(),  # a line end after the last row
+    ),
+)
+def test_plain_path_equals_row_parser(ticks_and_fallback, layout):
+    ticks, fallback = ticks_and_fallback
+    text, schema = _tick_file(ticks, layout, fallback)
+    plain = ingest._plain_columns
+    taken = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_plain_columns", lambda *args: taken.append(plain(*args)) or taken[-1])
+        either = _outcome(text, schema)
+        patch.setattr(ingest, "_plain_columns", lambda *args: None)
+        rows_only = _outcome(text, schema)
+    assert either == rows_only
+    assert (taken[0] is not None) == (not fallback)
+
+
+def test_plain_tick_files_take_the_plain_path(tmp_path, monkeypatch):
+    write_tick_fixture(tmp_path / "fixture.csv")  # the demos' and pipeline tests' input
+    (tmp_path / "benchmark_style.csv").write_text(
+        "code,time,last_price\n"
+        "600000,2021-01-04 09:30:00,10.05\n"
+        "600001,2021-01-04 09:30:00,7.10\n"
+        "600000,2021-01-04 09:30:03,10.06\n"
+    )
+    plain = ingest._plain_columns
+    taken = []
+    monkeypatch.setattr(ingest, "_plain_columns", lambda *args: taken.append(plain(*args)) or taken[-1])
+    series, malformed = load_series([str(tmp_path / "*.csv")], ColumnSchema())
+    assert len(taken) == 2 and all(columns is not None for columns in taken)
+    assert malformed == {} and sorted(series) == ["000001", "000002", "600000", "600001"]
 
 
 def test_series_lengths_sum_to_record_count():

@@ -440,6 +440,33 @@ def test_rerun_recomputes_only_stocks_whose_input_changed(fixture_csv, tmp_path,
     assert _tree(config.output_dir, subdirs) == _tree(fresh.output_dir, subdirs)
 
 
+def test_rerun_recomputes_every_stock_when_the_package_source_changed(fixture_csv, tmp_path, monkeypatch):
+    config = _config(fixture_csv, tmp_path)
+    run_all(config)
+    before = _tree(config.output_dir)
+    monkeypatch.setattr(pipeline, "code_digest", lambda: "0" * 64)  # as after an edit to any module
+    computed = _record_computed(monkeypatch)
+    run_all(config)
+    assert computed == ["000001", "000002", "600000"]
+    run_all(config)
+    assert computed == ["000001", "000002", "600000"]  # the same code again: everything reused
+    assert _tree(config.output_dir) == before
+
+
+def test_manifest_counts_malformed_rows_per_input_file(fixture_csv, tmp_path):
+    clean = _config(fixture_csv, tmp_path, out="clean")
+    run_all(clean)
+    header, *rows = fixture_csv.read_text().splitlines(keepends=True)
+    head, tail = tmp_path / "head.csv", tmp_path / "tail.csv"
+    head.write_text(header + "".join(rows[:1000]))
+    tail.write_text(header + "".join(rows[1000:]) + "600000,not-a-time,8.00\n000001,2021-01-04 09:30:00,abc\n")
+    dirty = _config(fixture_csv, tmp_path, out="dirty", inputs=(str(head), str(tail)))
+    run_all(dirty)
+    headers = [json.loads((Path(c.output_dir) / "manifest.jsonl").read_text().splitlines()[0]) for c in (dirty, clean)]
+    assert [h["malformed"] for h in headers] == [{str(tail): 2}, {}]  # a file with none is left out
+    assert _tree(dirty.output_dir, ("reports", "plots")) == _tree(clean.output_dir, ("reports", "plots"))
+
+
 def _fail_at_600000(series, config):
     if series.stock_code == "600000":
         raise ValueError("no result")
