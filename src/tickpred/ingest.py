@@ -14,14 +14,15 @@ Each file is read once into columns (``TickColumns``): its sorted stock
 codes, and per row an index into them, the epoch seconds and the price in
 hundredths. A plain file is parsed column-wise by numpy over its bytes:
 one with no ``"``, with ``\n`` or ``\r\n`` line ends, no blank line, every
-line as wide as the header, codes with no surrounding whitespace, naive
-``YYYY-MM-DD HH:MM:SS`` stamps and prices of at most 13 integer digits and
-2 decimals, all above 0. Every other file, offsets, fractions of a second,
-quotes and malformed rows included, goes through the row parser (``csv``,
-``datetime.fromisoformat`` and an exact price pattern), which counts and
-skips malformed rows. The columns, and so the series, are the same either
-way. ``load_series`` groups the files' columns into series with one stable
-sort.
+line as wide as the header, codes whose first and last bytes are printable
+ASCII, naive ``YYYY-MM-DD HH:MM:SS`` stamps and prices of at most 13
+integer digits and 2 decimals, all above 0. Every other file goes
+through the row parser (``csv``, ``datetime.fromisoformat`` and an exact
+price pattern), which counts and skips malformed rows: offsets, fractions
+of a second, quotes, padding, a code that starts or ends with a non-ASCII
+character (a Chinese name, say) and malformed rows included. The columns,
+and so the series, are the same either way. ``load_series`` groups the
+files' columns into series with one stable sort.
 """
 
 from __future__ import annotations
@@ -329,7 +330,8 @@ def _plain_columns(data: bytes, delimiter: str, width: int, fields: tuple[int, i
             return None
         parts[part] = parts[part] * 10 + digit
     year, month, day, hour, minute, second = parts
-    months = (year - np.int64(1970)) * 12 + month - 1
+    # widened first: under numpy 1.x an int32 array minus an int64 scalar stays int32
+    months = (year.astype(np.int64) - 1970) * 12 + month - 1
     first_day, next_first_day = (
         m.view("datetime64[M]").astype("datetime64[D]").view(np.int64) for m in (months, months + 1)
     )

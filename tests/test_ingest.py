@@ -257,6 +257,8 @@ _FALLBACK = {
     "quoted": lambda c, t, p: (f'"{c}"', t, p),
     "code_padded_before": lambda c, t, p: (f" {c}", t, p),
     "code_padded_after": lambda c, t, p: (f"{c} ", t, p),
+    "code_non_ascii_first": lambda c, t, p: (f"浦{c}", t, p),
+    "code_non_ascii_last": lambda c, t, p: (f"{c}股", t, p),
     "padded": lambda c, t, p: (c, f"{t} ", f" {p}"),
     "short": lambda c, t, p: (c, t),
     "blank_line_before": lambda c, t, p: (c, t, p),
@@ -308,7 +310,7 @@ def _ticks_and_fallback(draw):
     ticks = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["000001", "600000", "B", "300750.SZ"]),
+                st.sampled_from(["000001", "600000", "B", "300750.SZ", "A股B"]),  # non-ASCII inside a code stays plain
                 st.dates(date(1960, 1, 1), date(2030, 12, 31)),  # pre-1970 and leap days need no fallback
                 st.integers(0, 86399),
                 st.integers(1, 10**8),
