@@ -15,14 +15,16 @@ codes, and per row an index into them, the epoch seconds and the price in
 hundredths. A plain file is parsed column-wise by numpy over its bytes:
 one with no ``"``, with ``\n`` or ``\r\n`` line ends, no blank line, every
 line as wide as the header, codes whose first and last bytes are printable
-ASCII, naive ``YYYY-MM-DD HH:MM:SS`` stamps and prices of at most 13
-integer digits and 2 decimals, all above 0. Every other file goes
-through the row parser (``csv``, ``datetime.fromisoformat`` and an exact
-price pattern), which counts and skips malformed rows: offsets, fractions
-of a second, quotes, padding, a code that starts or ends with a non-ASCII
-character (a Chinese name, say) and malformed rows included. The columns,
-and so the series, are the same either way. ``load_series`` groups the
-files' columns into series with one stable sort.
+ASCII, naive ``YYYY-MM-DD HH:MM:SS`` stamps (calendar dates from year
+0001, hours 00-23, minutes and seconds 00-59, checked by numpy) and
+prices of at most 13 integer digits and 2 decimals, all above 0. Every
+other file goes through the row parser (``csv``,
+``datetime.fromisoformat`` and an exact price pattern), which counts and
+skips malformed rows: offsets, fractions of a second, quotes, padding, a
+code that starts or ends with a non-ASCII character (a Chinese name, say)
+and malformed rows included. The columns, and so the series, are the same
+either way. ``load_series`` groups the files' columns into series with one
+stable sort.
 """
 
 from __future__ import annotations
@@ -211,11 +213,11 @@ def parse_columns(source, schema: ColumnSchema) -> tuple[TickColumns, int]:
     """
     data, origin = _source_bytes(source)
     try:
-        data.decode("utf-8")  # the whole text is checked before either parser reads a field
+        text = data.decode("utf-8")  # the whole text is checked before either parser reads a field
     except UnicodeDecodeError as exc:
         raise not_utf8(origin, exc) from None
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    header_line = lines.readline()
+    # a StringIO holds 4 bytes a character, so one over the whole text waits for the row parser
+    header_line = io.StringIO(text[: text.find("\n") + 1] or text, newline="").readline()
     if not header_line.strip():
         raise EmptyInputError(f"{origin}: empty input")
     delimiter = _detect_delimiter(header_line)
@@ -224,7 +226,7 @@ def parse_columns(source, schema: ColumnSchema) -> tuple[TickColumns, int]:
     columns = _plain_columns(data, delimiter, len(header), fields)
     if columns is not None:
         return columns, 0
-    rows, malformed = _parse_rows(lines, delimiter, fields)
+    rows, malformed = _parse_rows(io.StringIO(text[len(header_line) :], newline=""), delimiter, fields)
     if not rows:
         raise EmptyInputError(f"{origin}: no parseable rows ({malformed} malformed)")
     return TickColumns.from_rows(rows), malformed
@@ -271,7 +273,7 @@ def _parse_rows(lines, delimiter: str, fields: tuple[int, int, int]) -> tuple[li
 
 _NL, _DOT, _ZERO = b"\n.0"
 _STAMP = b"0000-00-00 00:00:00"  # a 0 stands for any digit
-_STAMP_FIELD = [0, 0, 0, 0, None, 1, 1, None, 2, 2, None, 3, 3, None, 4, 4, None, 5, 5]  # the part each digit is in
+_YEAR_ONE = np.datetime64("0001-01-01", "s").view(np.int64)
 _MAX_PRICE_DIGITS = 13  # integer digits; with 2 decimals, hundredths stay far inside int64
 
 
@@ -281,9 +283,12 @@ def _plain_columns(data: bytes, delimiter: str, width: int, fields: tuple[int, i
     A file is plain when it has no ``"``, its line ends are ``\n`` or
     ``\r\n``, every line after the header has the header's ``width`` fields
     (so none is blank) and, in every row, the code is non-empty with a
-    printable ASCII byte at each end, the stamp is a valid ``YYYY-MM-DD
-    HH:MM:SS`` and the price matches ``\d{1,13}(\.\d{1,2})?`` and is above 0.
-    The row parser reads such a file to the same columns, with no malformed row.
+    printable ASCII byte at each end, the stamp is ``YYYY-MM-DD HH:MM:SS``
+    and the price matches ``\d{1,13}(\.\d{1,2})?`` and is above 0. numpy
+    reads the stamps and checks the calendar: a date from year 0001 on,
+    hours 00-23, minutes and seconds 00-59; year 0000, which numpy reads and
+    ``datetime`` does not, is checked here. The row parser reads such a file
+    to the same columns, with no malformed row.
     """
     header_end = data.find(b"\n")
     lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")  # a line end to the row parser
@@ -318,27 +323,19 @@ def _plain_columns(data: bytes, delimiter: str, width: int, fields: tuple[int, i
     start, stop = span(time_i)
     if np.any(stop - start != len(_STAMP)):
         return None
-    parts = np.zeros((6, len(start)), np.int32)  # year, month, day, hour, minute, second
-    for k, (expected, part) in enumerate(zip(_STAMP, _STAMP_FIELD)):
-        byte = body[start + k]
-        if part is None:
-            if np.any(byte != expected):
-                return None
-            continue
-        digit = byte - np.uint8(_ZERO)  # a byte below "0" wraps past 9
-        if np.any(digit > 9):
+    stamps = np.empty((len(_STAMP), len(start)), np.uint8)  # one row per stamp byte
+    for k, expected in enumerate(_STAMP):
+        byte = stamps[k] = body[start + k]
+        # a digit where _STAMP has one (a byte below "0" wraps past 9), the separator elsewhere
+        if np.any(byte - np.uint8(_ZERO) > 9 if expected == _ZERO else byte != expected):
             return None
-        parts[part] = parts[part] * 10 + digit
-    year, month, day, hour, minute, second = parts
-    # widened first: under numpy 1.x an int32 array minus an int64 scalar stays int32
-    months = (year.astype(np.int64) - 1970) * 12 + month - 1
-    first_day, next_first_day = (
-        m.view("datetime64[M]").astype("datetime64[D]").view(np.int64) for m in (months, months + 1)
-    )
-    valid = (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= next_first_day - first_day)
-    if not np.all(valid & (hour <= 23) & (minute <= 59) & (second <= 59)):
+    try:  # numpy checks the calendar and the clock
+        epoch = stamps.T.copy().view(f"S{len(_STAMP)}").ravel().astype("datetime64[s]").view(np.int64)
+    except ValueError:
         return None
-    epoch = (first_day + day - 1) * 86400 + hour * 3600 + minute * 60 + second
+    del stamps
+    if np.any(epoch < _YEAR_ONE):  # numpy reads year 0000, datetime.fromisoformat does not
+        return None
 
     start, stop = span(price_i)
     length = stop - start

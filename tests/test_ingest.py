@@ -248,8 +248,15 @@ def test_build_series_matches_dict_grouping_oracle(ticks):
 _FALLBACK = {
     "offset": lambda c, t, p: (c, t + "+08:00", p),
     "fraction": lambda c, t, p: (c, t + ".250", p),
+    "year0": lambda c, t, p: (c, "0000" + t[4:], p),
+    "month13": lambda c, t, p: (c, t[:5] + "13" + t[7:], p),
+    "day00": lambda c, t, p: (c, t[:8] + "00" + t[10:], p),
+    "feb29_1900": lambda c, t, p: (c, "1900-02-29" + t[10:], p),
     "feb30": lambda c, t, p: (c, t[:5] + "02-30" + t[10:], p),
+    "t_separator": lambda c, t, p: (c, t[:10] + "T" + t[11:], p),
     "hour24": lambda c, t, p: (c, t[:11] + "24" + t[13:], p),
+    "minute60": lambda c, t, p: (c, t[:14] + "60" + t[16:], p),
+    "second60": lambda c, t, p: (c, t[:17] + "60", p),
     "three_decimals": lambda c, t, p: (c, t, p.split(".")[0] + ".001"),
     "two_points": lambda c, t, p: (c, t, p.split(".")[0] + ".1.2"),
     "zero_price": lambda c, t, p: (c, t, "0.00"),
@@ -311,7 +318,7 @@ def _ticks_and_fallback(draw):
         st.lists(
             st.tuples(
                 st.sampled_from(["000001", "600000", "B", "300750.SZ", "A股B"]),  # non-ASCII inside a code stays plain
-                st.dates(date(1960, 1, 1), date(2030, 12, 31)),  # pre-1970 and leap days need no fallback
+                st.dates(date(1, 1, 1), date(9999, 12, 31)),  # every year datetime reads, leap days too
                 st.integers(0, 86399),
                 st.integers(1, 10**8),
                 st.booleans(),
@@ -348,6 +355,33 @@ def test_plain_path_equals_row_parser(ticks_and_fallback, layout):
         rows_only = _outcome(text, schema)
     assert either == rows_only
     assert (taken[0] is not None) == (not fallback)
+
+
+@pytest.mark.parametrize(
+    "stamp, plain",
+    [
+        pytest.param("0001-01-01 00:00:00", True, id="year1"),
+        pytest.param("2000-02-29 12:00:00", True, id="feb29_2000"),
+        pytest.param("9999-12-31 23:59:59", True, id="year9999"),
+        pytest.param("2021-00-04 09:30:00", False, id="month00"),
+        pytest.param("2021-13-04 09:30:00", False, id="month13"),
+        pytest.param("2021-01-00 09:30:00", False, id="day00"),
+        pytest.param("1900-02-29 09:30:00", False, id="feb29_1900"),
+        pytest.param("2021-02-30 09:30:00", False, id="feb30"),
+        pytest.param("2021-01-04 24:30:00", False, id="hour24"),
+        pytest.param("2021-01-04 09:60:00", False, id="minute60"),
+        pytest.param("2021-01-04 09:30:60", False, id="second60"),
+        pytest.param("0000-01-04 09:30:00", False, id="year0"),
+        pytest.param("2021-01-04T09:30:00", False, id="T"),
+        pytest.param("2021/01/04 09:30:00", False, id="slash"),
+    ],
+)
+def test_plain_path_reads_a_stamp_as_the_row_parser_does(stamp, plain, monkeypatch):
+    text = f"code,time,last_price\n600000,{stamp},10.05\n"
+    assert (ingest._plain_columns(text.encode("utf-8"), ",", 3, (0, 1, 2)) is not None) == plain
+    either = _outcome(text, ColumnSchema())
+    monkeypatch.setattr(ingest, "_plain_columns", lambda *args: None)
+    assert either == _outcome(text, ColumnSchema())
 
 
 def test_plain_tick_files_take_the_plain_path(tmp_path, monkeypatch):
