@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import glob
+import hashlib
 import io
 import re
 from dataclasses import dataclass
@@ -213,11 +214,11 @@ def parse_columns(source, schema: ColumnSchema) -> tuple[TickColumns, int]:
     """
     data, origin = _source_bytes(source)
     try:
-        text = data.decode("utf-8")  # the whole text is checked before either parser reads a field
+        data.decode("utf-8")  # the whole text is checked before either parser reads a field, and not kept
     except UnicodeDecodeError as exc:
         raise not_utf8(origin, exc) from None
-    # a StringIO holds 4 bytes a character, so one over the whole text waits for the row parser
-    header_line = io.StringIO(text[: text.find("\n") + 1] or text, newline="").readline()
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")  # decodes as the row parser reads
+    header_line = lines.readline()
     if not header_line.strip():
         raise EmptyInputError(f"{origin}: empty input")
     delimiter = _detect_delimiter(header_line)
@@ -226,7 +227,7 @@ def parse_columns(source, schema: ColumnSchema) -> tuple[TickColumns, int]:
     columns = _plain_columns(data, delimiter, len(header), fields)
     if columns is not None:
         return columns, 0
-    rows, malformed = _parse_rows(io.StringIO(text[len(header_line) :], newline=""), delimiter, fields)
+    rows, malformed = _parse_rows(lines, delimiter, fields)
     if not rows:
         raise EmptyInputError(f"{origin}: no parseable rows ({malformed} malformed)")
     return TickColumns.from_rows(rows), malformed
@@ -235,15 +236,25 @@ def parse_columns(source, schema: ColumnSchema) -> tuple[TickColumns, int]:
 def _source_bytes(source) -> tuple[bytes, str]:
     """The bytes of a tick source, and the name its errors give it."""
     if isinstance(source, Path) or (isinstance(source, str) and source and "\n" not in source):
-        if not Path(source).is_file():
-            raise DataError(f"input file not found: {source}")
-        return Path(source).read_bytes(), str(source)
+        return _input_file(source).read_bytes(), str(source)
     if isinstance(source, bytes):
         return source, "<bytes>"
     # a lone surrogate passes the encoding and then fails the UTF-8 check, as it would in a file
     if isinstance(source, str):
         return source.encode("utf-8", "surrogatepass"), "<string>"
     return source.read().encode("utf-8", "surrogatepass"), getattr(source, "name", "<stream>")
+
+
+def _input_file(path) -> Path:
+    if not Path(path).is_file():
+        raise DataError(f"input file not found: {path}")
+    return Path(path)
+
+
+def file_sha256(path) -> str:
+    """Hex sha256 of a tick file's bytes, read in chunks; raises DataError for a missing file, as parsing it would."""
+    with open(_input_file(path), "rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 def _parse_rows(lines, delimiter: str, fields: tuple[int, int, int]) -> tuple[list[Row], int]:
@@ -401,13 +412,20 @@ def load_series(patterns: Iterable[str], schema: ColumnSchema) -> tuple[dict[str
     """
     tables: list[TickColumns] = []
     malformed: dict[str, int] = {}
-    for pattern in patterns:
-        for path in sorted(glob.glob(pattern)) or [pattern]:
-            columns, bad = parse_columns(Path(path), schema)
-            tables.append(columns)
-            if bad:
-                malformed[path] = malformed.get(path, 0) + bad
+    for path in input_paths(patterns):
+        columns, bad = parse_columns(Path(path), schema)
+        tables.append(columns)
+        if bad:
+            malformed[path] = malformed.get(path, 0) + bad
     return group_series(tables), malformed
+
+
+def input_paths(patterns: Iterable[str]) -> list[str]:
+    """The files that glob patterns name, in the order ``load_series`` reads them.
+
+    Each pattern gives its matches in sorted order, or itself when it matches nothing.
+    """
+    return [path for pattern in patterns for path in sorted(glob.glob(pattern)) or [pattern]]
 
 
 def filter_series(

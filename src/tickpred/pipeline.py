@@ -7,8 +7,12 @@ aggregates arithmetic-mean summaries and plot-ready distribution CSVs. A
 manifest gets one status line per stock as soon as that stock is finished,
 so an interrupted or repeated run skips finished stocks whose parsed series,
 config and package source are unchanged, and one corrupt stock cannot abort
-the rest. Its header also counts the malformed rows skipped in each input
-file. Outputs are byte-identical for identical config and seed.
+the rest. Its header also holds an input digest (a sha256 of each input
+file's bytes, and of the Python and numpy versions the parsers rest on),
+the number of stocks parsed and the malformed rows skipped in each input
+file. A rerun whose input digest, config and source match a run that
+finished every stock it counted parses no file at all. Outputs are
+byte-identical for identical config and seed.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import platform
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
@@ -29,7 +34,16 @@ from . import __version__
 from .entropy import estimate_entropy
 from .errors import ConfigError, DataError, read_text
 from .evaluate import EvaluationReport, evaluate_trace
-from .ingest import DEFAULT_MIN_LENGTH, DEFAULT_MIN_STATES, ColumnSchema, PriceSeries, filter_series, load_series
+from .ingest import (
+    DEFAULT_MIN_LENGTH,
+    DEFAULT_MIN_STATES,
+    ColumnSchema,
+    PriceSeries,
+    file_sha256,
+    filter_series,
+    input_paths,
+    load_series,
+)
 from .predict import DiffusionKernelModel, PredictionTrace, run_protocol
 from .predictability import fano_solve
 from .quantize import QuantizationScheme, fixed_count_scheme, fixed_interval_scheme, quantize_with
@@ -232,6 +246,8 @@ class QuantizationSetting:
 class RunManifest:
     config_hash: str
     code_digest: str
+    input_digest: str  # input_digest() of the files this run reads
+    stocks: int = 0  # stocks in those files
     tool_version: str = __version__
     malformed: dict[str, int] = field(default_factory=dict)  # input file -> malformed rows skipped, where any
     statuses: dict[str, tuple[str, str]] = field(default_factory=dict)  # code -> (status, reason)
@@ -429,15 +445,28 @@ def code_digest() -> str:
     return digest.hexdigest()
 
 
-def _done_in_manifest(path: Path, key: dict[str, str]) -> dict[str, str | None]:
-    """Series digest of each stock that a manifest whose header holds every item of ``key`` records as done.
+def input_digest(paths: list[str]) -> str:
+    """sha256 over the Python and numpy versions, then each input path with the sha256 of that file's bytes.
+
+    The versions are in it because the parsers' readings rest on them: ``datetime.fromisoformat`` and
+    numpy's stamp parse. Raises DataError for a missing file.
+    """
+    digest = hashlib.sha256(f"python {platform.python_version()}\0numpy {np.__version__}\n".encode("utf-8"))
+    for path in paths:
+        digest.update(f"{path}\0{file_sha256(path)}\n".encode("utf-8", "surrogateescape"))
+    return digest.hexdigest()
+
+
+def _previous_run(path: Path, key: dict[str, str]) -> tuple[dict, dict[str, str | None]]:
+    """The header of a manifest whose header holds every item of ``key``, and the series digest of each stock
+    it records as done, in line order; ``({}, {})`` for any other manifest.
 
     A manifest that cannot be read counts as empty; a line torn by a kill mid-write is skipped.
     """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError):
-        return {}
+        return {}, {}
     entries = []
     for line in lines:
         try:
@@ -445,34 +474,48 @@ def _done_in_manifest(path: Path, key: dict[str, str]) -> dict[str, str | None]:
         except json.JSONDecodeError:
             entries.append({})
     if not entries or any(entries[0].get(k) != v for k, v in key.items()):
-        return {}
-    return {e["stock"]: e.get("digest") for e in entries[1:] if e.get("status") == "done"}
+        return {}, {}
+    return entries[0], {e["stock"]: e.get("digest") for e in entries[1:] if e.get("status") == "done"}
 
 
 def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
-    """Run the whole pipeline; returns the manifest with per-stock statuses."""
+    """Run the whole pipeline; returns the manifest with per-stock statuses.
+
+    The tick files are parsed only when a stock needs computing. A run first hashes them into the input
+    digest. It parses nothing when the previous manifest's header holds this run's config hash, code
+    digest and input digest, that manifest has a "done" line for each of the stocks its header counts,
+    and each of their per-stock JSONs reads back: the "done" lines then give the series digests, the
+    header the malformed-row counts, and the reports come from the stored results. Otherwise it parses
+    every file, and a finished stock is reused only when its parsed series has the digest its "done"
+    line records under this config and code.
+    """
     config.validate()
     out_dir = Path(config.output_dir)
     for sub in ("series", "per_stock", "reports", "plots"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
 
-    schema = ColumnSchema(code=config.code_column, time=config.time_column, price=config.price_column)
-    all_series, malformed = load_series(config.inputs, schema)
-    manifest = RunManifest(config.content_hash(), code_digest(), malformed=malformed)
+    manifest = RunManifest(config.content_hash(), code_digest(), input_digest(input_paths(config.inputs)))
     manifest_path = out_dir / "manifest.jsonl"
-    # a stock is reused only under the config and code that made it, and when its
-    # parsed series is the one its "done" line records
-    digests = {code: _series_digest(series) for code, series in all_series.items()}
-    key = {"config_hash": manifest.config_hash, "code_digest": manifest.code_digest}
-    done = _done_in_manifest(manifest_path, key)
+    key = {"config_hash": manifest.config_hash, "code_digest": manifest.code_digest}  # what a reused stock needs
+    previous, done = _previous_run(manifest_path, key)
     results: dict[str, dict] = {}
     labels = [s.label for s in config.settings()]
-    for code in sorted(c for c in all_series if done.get(c) == digests[c]):
+    for code in done:
         try:
             results[code] = read_result(out_dir / "per_stock" / f"{code}.json", labels)
         except DataError:
             pass  # a per-stock JSON that is gone, unreadable, not a result or short of a setting is recomputed
-    pending = [code for code in sorted(all_series) if code not in results]
+    if previous.get("input_digest") == manifest.input_digest and len(results) == len(done) == previous.get("stocks"):
+        all_series, digests = {}, done  # the same files made every stock of that run: nothing to parse
+        manifest.malformed = previous["malformed"]
+    else:
+        schema = ColumnSchema(code=config.code_column, time=config.time_column, price=config.price_column)
+        all_series, manifest.malformed = load_series(config.inputs, schema)
+        # a stock is reused only when its parsed series is the one its "done" line records
+        digests = {code: _series_digest(series) for code, series in all_series.items()}
+        results = {code: result for code, result in results.items() if code in digests and digests[code] == done[code]}
+    manifest.stocks = len(digests)
+    pending = [code for code in sorted(digests) if code not in results]
     # before any manifest line goes out, so these directories hold only stocks recorded as done
     for sub, suffix in (("per_stock", ".json"), ("series", ".csv")):
         for path in (out_dir / sub).glob(f"*{suffix}"):
@@ -488,7 +531,15 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
 
         # the header and every reused stock go in one write, so a kill can lose
         # the previous run's "done" lines only inside that write
-        header = json.dumps({**key, "tool_version": manifest.tool_version, "malformed": manifest.malformed})
+        header = json.dumps(
+            {
+                **key,
+                "input_digest": manifest.input_digest,
+                "stocks": manifest.stocks,
+                "tool_version": manifest.tool_version,
+                "malformed": manifest.malformed,
+            }
+        )
         print("\n".join([header, *(record(code, "done") for code in results)]), file=log, flush=True)
 
         parallel = config.workers > 1 and len(pending) > 1

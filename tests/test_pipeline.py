@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import random
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tickpred import pipeline
+from tickpred import ingest, pipeline
 from tickpred.errors import ConfigError
 from tickpred.pipeline import PipelineConfig, QuantizationSetting, child_seed, process_stock, run_all
 from tickpred.synthetic import write_tick_fixture
@@ -523,3 +524,120 @@ def test_rerun_recomputes_a_per_stock_json_that_is_not_a_result(fixture_csv, tmp
     assert run_all(config).done == ["000001", "000002", "600000"]
     assert computed == ["000002"]
     assert _tree(config.output_dir) == before
+
+
+# -- warm reruns that parse nothing -------------------------------------------
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("a tick file was parsed")
+
+
+def _count_parses(monkeypatch):
+    """Patch load_series to log each call; the list grows by one per parse of the inputs."""
+    calls = []
+    load_series = pipeline.load_series
+
+    def spy(*args):
+        calls.append(args)
+        return load_series(*args)
+
+    monkeypatch.setattr(pipeline, "load_series", spy)
+    return calls
+
+
+def _outputs(out_dir):
+    return _tree(out_dir, SUBDIRS), (Path(out_dir) / "manifest.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rerun_over_identical_inputs_parses_nothing(fixture_csv, tmp_path, monkeypatch, workers):
+    config = _config(fixture_csv, tmp_path, workers=workers, dk_epochs=2)
+    run_all(config)
+    before = _outputs(config.output_dir)
+    monkeypatch.setattr(pipeline, "load_series", _no_parse)
+    for parser in ("parse_columns", "_plain_columns", "_parse_rows"):
+        monkeypatch.setattr(ingest, parser, _no_parse)
+    computed = _record_computed(monkeypatch)
+    assert run_all(config).done == ["000001", "000002", "600000"]
+    assert computed == []
+    assert _outputs(config.output_dir) == before  # the manifest too, line for line
+
+
+def test_rerun_that_parses_nothing_keeps_the_malformed_counts(fixture_csv, tmp_path, monkeypatch):
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text(fixture_csv.read_text() + "600000,not-a-time,8.00\n000001,2021-01-04 09:30:00,abc\n")
+    config = _config(dirty, tmp_path, dk_epochs=2)
+    assert run_all(config).malformed == {str(dirty): 2}
+    before = _outputs(config.output_dir)
+    monkeypatch.setattr(pipeline, "load_series", _no_parse)
+    assert run_all(config).malformed == {str(dirty): 2}
+    assert _outputs(config.output_dir) == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rerun_parses_a_file_changed_in_place_with_its_size_and_mtime(fixture_csv, tmp_path, monkeypatch, workers):
+    config = _config(fixture_csv, tmp_path, workers=workers, dk_epochs=2)
+    run_all(config)
+    stat = fixture_csv.stat()
+    data = bytearray(fixture_csv.read_bytes())
+    last = data.index(b"\n", data.index(b"\n600000,") + 1) - 1  # the last digit of 600000's first price
+    data[last] = ord("1") if data[last] != ord("1") else ord("2")
+    fixture_csv.write_bytes(bytes(data))
+    os.utime(fixture_csv, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert fixture_csv.stat().st_size == stat.st_size and fixture_csv.stat().st_mtime_ns == stat.st_mtime_ns
+
+    parses, computed = _count_parses(monkeypatch), _record_computed(monkeypatch)
+    run_all(config)  # one stock to compute, so no pool even at 2 workers
+    assert len(parses) == 1 and computed == ["600000"]
+    monkeypatch.undo()  # a worker process cannot unpickle the spy
+    fresh = run_all(dataclasses.replace(config, output_dir=str(tmp_path / "fresh")))
+    assert fresh.done == ["000001", "000002", "600000"]
+    assert _tree(config.output_dir, SUBDIRS) == _tree(tmp_path / "fresh", SUBDIRS)
+
+
+FORCED_PARSES = [
+    "file added", "file removed", "torn manifest", "interrupted run", "per-stock JSON deleted", "failed stock",
+    "numpy version",
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", FORCED_PARSES)
+def test_rerun_parses_when_the_last_run_does_not_stand(fixture_csv, tmp_path, monkeypatch, case, workers):
+    header, *rows = fixture_csv.read_text().splitlines(keepends=True)
+    inputs, aside = tmp_path / "in", tmp_path / "aside.csv"
+    inputs.mkdir()
+    (inputs / "a.csv").write_text(header + "".join(row for row in rows if not row.startswith("600000,")))
+    (inputs / "b.csv").write_text(header + "".join(row for row in rows if row.startswith("600000,")))
+    config = _config(fixture_csv, tmp_path, inputs=(str(inputs / "*.csv"),), workers=workers, dk_epochs=2)
+    out = Path(config.output_dir)
+    if case == "file added":
+        (inputs / "b.csv").rename(aside)
+    elif case == "interrupted run":
+        monkeypatch.setattr(pipeline, "process_stock", _interrupt_at_600000)
+    elif case == "failed stock":
+        monkeypatch.setattr(pipeline, "process_stock", _fail_at_600000)
+    elif case == "numpy version":  # the previous run recorded another numpy
+        monkeypatch.setattr(pipeline.np, "__version__", "1.24.0")
+    try:
+        run_all(config)
+    except KeyboardInterrupt:
+        assert case == "interrupted run"
+    monkeypatch.undo()
+    if case == "file added":
+        aside.rename(inputs / "b.csv")
+    elif case == "file removed":
+        (inputs / "b.csv").unlink()
+    elif case == "torn manifest":  # a kill mid-write of the last "done" line
+        text = (out / "manifest.jsonl").read_text()
+        (out / "manifest.jsonl").write_text(text[: text.rindex("\n", 0, -1) + 20])
+    elif case == "per-stock JSON deleted":
+        (out / "per_stock" / "000002.json").unlink()
+
+    parses = _count_parses(monkeypatch)
+    manifest = run_all(config)
+    assert len(parses) == 1
+    fresh = run_all(dataclasses.replace(config, output_dir=str(tmp_path / "fresh")))
+    assert manifest.done == fresh.done and manifest.failed == fresh.failed == []
+    assert _tree(out, SUBDIRS) == _tree(tmp_path / "fresh", SUBDIRS)
