@@ -461,7 +461,8 @@ def _previous_run(path: Path, key: dict[str, str]) -> tuple[dict, dict[str, str 
     """The header of a manifest whose header holds every item of ``key``, and the series digest of each stock
     it records as done, in line order; ``({}, {})`` for any other manifest.
 
-    A manifest that cannot be read counts as empty; a line torn by a kill mid-write is skipped.
+    A manifest that cannot be read counts as empty; a line torn by a kill mid-write, or any other line that
+    is not a JSON object, is skipped, and so is a "done" line without a stock code.
     """
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -470,12 +471,14 @@ def _previous_run(path: Path, key: dict[str, str]) -> tuple[dict, dict[str, str 
     entries = []
     for line in lines:
         try:
-            entries.append(json.loads(line))
+            entry = json.loads(line)
         except json.JSONDecodeError:
-            entries.append({})
+            entry = None
+        entries.append(entry if isinstance(entry, dict) else {})
     if not entries or any(entries[0].get(k) != v for k, v in key.items()):
         return {}, {}
-    return entries[0], {e["stock"]: e.get("digest") for e in entries[1:] if e.get("status") == "done"}
+    done = (e for e in entries[1:] if e.get("status") == "done" and isinstance(e.get("stock"), str))
+    return entries[0], {e["stock"]: e.get("digest") for e in done}
 
 
 def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
@@ -484,10 +487,10 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     The tick files are parsed only when a stock needs computing. A run first hashes them into the input
     digest. It parses nothing when the previous manifest's header holds this run's config hash, code
     digest and input digest, that manifest has a "done" line for each of the stocks its header counts,
-    and each of their per-stock JSONs reads back: the "done" lines then give the series digests, the
-    header the malformed-row counts, and the reports come from the stored results. Otherwise it parses
-    every file, and a finished stock is reused only when its parsed series has the digest its "done"
-    line records under this config and code.
+    and each of them has its series file and a per-stock JSON that reads back: the "done" lines then give
+    the series digests, the header the malformed-row counts, and the reports come from the stored
+    results. Otherwise it parses every file, and a finished stock is reused only when its parsed series
+    has the digest its "done" line records under this config and code, and its series file is there.
     """
     config.validate()
     out_dir = Path(config.output_dir)
@@ -501,6 +504,8 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     results: dict[str, dict] = {}
     labels = [s.label for s in config.settings()]
     for code in done:
+        if not (out_dir / "series" / f"{code}.csv").is_file():
+            continue  # a stock whose series file is gone is recomputed, so series/ holds every done stock
         try:
             results[code] = read_result(out_dir / "per_stock" / f"{code}.json", labels)
         except DataError:

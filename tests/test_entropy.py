@@ -1,6 +1,7 @@
 """Match-length and entropy estimator tests against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,90 @@ def test_three_way_equivalence_on_random_sequences():
 @given(st.integers(1, 6).flatmap(lambda k: st.lists(st.integers(0, k - 1), min_size=1, max_size=300)))
 def test_fast_match_lengths_equal_reference(seq):
     assert match_lengths_fast(seq).tolist() == match_lengths(seq).tolist()
+
+
+@st.composite
+def structured_sequences(draw):
+    """Concatenated blocks: constant runs, period-p stretches, copies of an earlier stretch, random symbols."""
+    k = draw(st.integers(1, 4))
+    symbol = st.integers(0, k - 1)
+    seq: list[int] = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["run", "period", "copy", "random"]))
+        if kind == "run":
+            seq += [draw(symbol)] * draw(st.integers(1, 40))
+        elif kind == "period":
+            period = draw(st.lists(symbol, min_size=1, max_size=6))
+            seq += (period * 40)[: draw(st.integers(1, 60))]
+        elif kind == "copy" and seq:
+            start = draw(st.integers(0, len(seq) - 1))
+            seq += seq[start : start + draw(st.integers(1, 60))]
+        else:
+            seq += draw(st.lists(symbol, min_size=1, max_size=30))
+    return seq
+
+
+# long and overlapping repeats: several doubling rounds and deep nearest-earlier-suffix chains
+@settings(max_examples=250, deadline=None)
+@given(structured_sequences())
+def test_fast_match_lengths_equal_reference_on_structured_sequences(seq):
+    assert match_lengths_fast(seq).tolist() == match_lengths(seq).tolist()
+
+
+@pytest.mark.parametrize(
+    "seq, expected",
+    [([4], [1]), ([-3], [1]), ([4, 4], [1, 2]), ([4, 9], [1, 1]), ([2**62, 2**62], [1, 2])],
+)
+def test_one_and_two_states(seq, expected):
+    assert match_lengths(seq).tolist() == expected
+    lam = match_lengths_fast(seq)
+    assert lam.dtype == np.int64 and lam.tolist() == expected
+
+
+def test_fast_match_lengths_accept_an_object_with_states():
+    class Quantized:
+        states = np.array([5, 7, 5, 7], dtype=np.int32)
+
+    lam = match_lengths_fast(Quantized())
+    assert lam.dtype == np.int64 and lam.tolist() == [1, 1, 3, 2]
+
+
+def test_binary_iid_20k_against_substring_search_and_reference_prefix():
+    rng = np.random.default_rng(2024)
+    seq = rng.integers(0, 2, 20_000)
+    lam = match_lengths_fast(seq)
+    text = seq.astype(np.uint8).tobytes()
+    n = len(text)
+    for i in [*rng.choice(n, 150, replace=False).tolist(), 0, 1, n - 2, n - 1]:
+        k = next((k for k in range(1, n - i + 1) if text[i : i + k] not in text[:i]), n - i + 1)
+        assert lam[i] == k, i
+    # on a prefix of m states the lengths are those of the whole sequence, censored at the shorter tail
+    m = 1500
+    censored = np.minimum(lam[:m], m - np.arange(m) + 1)
+    assert match_lengths(seq[:m]).tolist() == censored.tolist()
+
+
+@pytest.mark.parametrize(
+    "scale, offset", [(2**40, -(2**62)), (2**40, 2**62), (1, np.iinfo(np.int64).min), (-1, np.iinfo(np.int64).max)]
+)
+def test_negative_and_very_large_state_ids(scale, offset):
+    small = np.random.default_rng(3).integers(0, 3, 400)
+    seq = small * scale + offset
+    assert match_lengths_fast(seq).tolist() == match_lengths(seq).tolist() == match_lengths(small).tolist()
+
+
+def test_fast_match_lengths_memory_bound():
+    # a 40k-state random walk. tracemalloc (numpy 2.4) read a 23.1 MB peak for the suffix automaton
+    # this route replaced, and 7.7 MB for this route
+    rng = np.random.default_rng(2021)
+    seq = np.cumsum(rng.integers(-1, 2, 40_000))
+    tracemalloc.start()
+    try:
+        match_lengths_fast(seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_large_state_ids_are_fine():

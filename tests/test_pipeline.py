@@ -421,6 +421,38 @@ def test_torn_manifest_recomputes_only_unfinished_stocks(fixture_csv, tmp_path, 
     assert _tree(config.output_dir) == before
 
 
+# JSON that is not an object, and "done" lines with no stock code
+@pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null", '{"status": "done"}', '{"stock": [1], "status": "done"}'])
+def test_manifest_line_that_is_not_a_record_counts_as_torn(fixture_csv, tmp_path, monkeypatch, line):
+    config = _config(fixture_csv, tmp_path)
+    run_all(config)
+    before = _tree(config.output_dir)
+    path = Path(config.output_dir) / "manifest.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(line + "\n" + "".join(lines[1:]))  # the header replaced
+    computed = _record_computed(monkeypatch)
+    assert run_all(config).done == ["000001", "000002", "600000"]
+    assert computed == ["000001", "000002", "600000"]
+    assert _tree(config.output_dir) == before
+
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + line + "\n" + "".join(lines[2:]))  # 000001's "done" line replaced
+    assert run_all(config).done == ["000001", "000002", "600000"]
+    assert computed[3:] == ["000001"]
+
+
+def test_rerun_rewrites_a_deleted_series_file(fixture_csv, tmp_path, monkeypatch):
+    config = _config(fixture_csv, tmp_path)
+    run_all(config)
+    before = _tree(config.output_dir, SUBDIRS)
+    (Path(config.output_dir) / "series" / "000002.csv").unlink()  # manifest, digests and per-stock JSONs still match
+
+    parses, computed = _count_parses(monkeypatch), _record_computed(monkeypatch)
+    assert run_all(config).done == ["000001", "000002", "600000"]
+    assert len(parses) == 1 and computed == ["000002"]
+    assert _tree(config.output_dir, SUBDIRS) == before
+
+
 def test_rerun_recomputes_only_stocks_whose_input_changed(fixture_csv, tmp_path, monkeypatch):
     config = _config(fixture_csv, tmp_path)
     run_all(config)
