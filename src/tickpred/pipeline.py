@@ -3,22 +3,28 @@
 For every stock that survives filtering and every configured quantization
 setting, the pipeline produces the entropy estimate, the accuracy upper
 bound, online traces for both predictors and their evaluation rows, then
-aggregates arithmetic-mean summaries and plot-ready distribution CSVs. A
-manifest gets one status line per stock as soon as that stock is finished,
-so an interrupted or repeated run skips finished stocks whose parsed series,
+aggregates arithmetic-mean summaries and plot-ready distribution CSVs.
+Stocks are computed in chunks of at most ``CHUNK_STOCKS``, which are also
+the pool's tasks, and each chunk trains the DK models of all its stocks in
+lockstep. A manifest gets one status line per stock as soon as that stock
+is finished: in process, stock by stock; under a pool, when its chunk
+finishes. So what a kill loses is bounded by the chunks in flight, an
+interrupted or repeated run skips finished stocks whose parsed series,
 config and package source are unchanged, and one corrupt stock cannot abort
-the rest. Its header also holds an input digest (a sha256 of each input
-file's bytes, and of the Python and numpy versions the parsers rest on),
-the number of stocks parsed and the malformed rows skipped in each input
-file. A rerun whose input digest, config and source match a run that
-finished every stock it counted parses no file at all. Outputs are
-byte-identical for identical config and seed.
+the rest, its chunk included. The manifest's header also holds an input
+digest (a sha256 of each input file's bytes, and of the Python and numpy
+versions the parsers rest on), the number of stocks parsed and the
+malformed rows skipped in each input file. A rerun whose input digest,
+config and source match a run that finished every stock it counted parses
+no file at all. Outputs are byte-identical for identical config and seed,
+whatever the worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import heapq
 import json
 import platform
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -26,7 +32,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,12 +50,15 @@ from .ingest import (
     input_paths,
     load_series,
 )
-from .predict import DiffusionKernelModel, PredictionTrace, run_protocol
+from .predict import DiffusionKernelModel, PredictionTrace, run_protocol, train_together
 from .predictability import fano_solve
 from .quantize import QuantizationScheme, fixed_count_scheme, fixed_interval_scheme, quantize_with
 from .stats import volatility
 
 MODELS = ("mc", "dk")
+# Most stocks in one chunk, the pool's task. A chunk trains the DK units of all its stocks in lockstep,
+# which pays more the more units it holds, while a kill loses the chunks in flight.
+CHUNK_STOCKS = 16
 
 EVAL_HEADER = ["stock_code", "setting", "model", "acc", "rmse", "rmse_ratio_permille", "n_test"]
 PRED_HEADER = ["stock_code", "setting", "n", "n_distinct", "s_est", "pi_max"]
@@ -318,8 +327,32 @@ def unit_report(
     return evaluate_trace(trace, scheme, raw_prices=raw, avgprice=series.mean_price())
 
 
-def process_stock(series: PriceSeries, config: PipelineConfig) -> dict:
-    """Full per-stock analysis across every configured quantization setting."""
+class DKUnit(NamedTuple):
+    """A kept (stock, setting) pair's diffusion-kernel run: ``model`` trains on ``states[:start]``, the first
+    trading day, then predicts and updates every later state."""
+
+    label: str
+    scheme: QuantizationScheme
+    states: np.ndarray
+    start: int
+    model: DiffusionKernelModel
+
+
+def _scores(config: PipelineConfig, trace: PredictionTrace, series: PriceSeries, scheme: QuantizationScheme) -> dict:
+    report = unit_report(config, trace, series, scheme, slice(trace.start_index, None))
+    return {
+        "acc": report.acc,
+        "rmse": report.rmse,
+        "rmse_ratio_permille": report.rmse_price_ratio,
+        "n_test": report.n_test,
+    }
+
+
+def stock_part(series: PriceSeries, config: PipelineConfig) -> tuple[dict, list[DKUnit]]:
+    """A stock's result short of its DK rows, and its DK units with their models untrained.
+
+    For every configured quantization setting: admit, quantize, entropy, the bound and the MC run.
+    """
     result: dict = {
         "stock_code": series.stock_code,
         "n_ticks": len(series),
@@ -328,6 +361,7 @@ def process_stock(series: PriceSeries, config: PipelineConfig) -> dict:
         "volatility": volatility(series.prices_cny, n_convention=config.volatility_n),
         "settings": {},
     }
+    units = []
     for setting in config.settings():
         scheme, reason = setting.admit(series, config.min_length, config.min_states)
         entry: dict = {"dropped": reason}
@@ -344,19 +378,66 @@ def process_stock(series: PriceSeries, config: PipelineConfig) -> dict:
                 "s_est": est.s_est,
                 "mean_match_length": est.mean_match_length,
                 "pi_max": fano_solve(est.s_est, seq.n_distinct),
-                "models": {},
+                "models": {"mc": _scores(config, unit_trace(config, seq, series, setting, "mc"), series, scheme)},
             }
         )
-        for model in MODELS:
-            trace = unit_trace(config, seq, series, setting, model)
-            report = unit_report(config, trace, series, scheme, slice(trace.start_index, None))
-            entry["models"][model] = {
-                "acc": report.acc,
-                "rmse": report.rmse,
-                "rmse_ratio_permille": report.rmse_price_ratio,
-                "n_test": report.n_test,
-            }
+        # the MC run has checked the day boundaries that the DK model's training and online run need
+        seed = child_seed(config.seed, series.stock_code, setting.label, "dk")
+        model = DiffusionKernelModel(seed=seed, **config.dk_params())
+        units.append(DKUnit(setting.label, scheme, seq.states, series.day_boundaries[1], model))
+    return result, units
+
+
+def finish_stock(series: PriceSeries, config: PipelineConfig, result: dict, units: list[DKUnit]) -> dict:
+    """``result`` with the DK rows of ``units``, whose models are trained: each runs online and is scored."""
+    for unit in units:
+        predicted = unit.model.run_online(unit.states, unit.start)
+        trace = PredictionTrace(series.stock_code, "dk", predicted, unit.states[unit.start :].copy(), unit.start)
+        result["settings"][unit.label]["models"]["dk"] = _scores(config, trace, series, unit.scheme)
     return result
+
+
+def process_chunk(chunk: list[PriceSeries], config: PipelineConfig) -> Iterator[tuple[str, dict | Exception]]:
+    """Each stock of ``chunk`` with its full analysis across every configured setting, or the exception
+    that stopped it; one stock's failure does not stop the others.
+
+    Each stock's ``stock_part`` runs first. Then the DK models of the whole chunk train in lockstep, as
+    each would alone, and each stock's DK online phase and evaluation (``finish_stock``) run one stock at
+    a time, in chunk order.
+    """
+    staged = []
+    for series in chunk:
+        try:
+            staged.append((series, *stock_part(series, config)))
+        except Exception as exc:
+            yield series.stock_code, exc
+    dk = [unit for _, _, units in staged for unit in units]
+    train_together([u.model for u in dk], [u.states[: u.start] for u in dk])
+    for series, result, units in staged:
+        try:
+            yield series.stock_code, finish_stock(series, config, result, units)
+        except Exception as exc:
+            yield series.stock_code, exc
+
+
+def _chunk_outcomes(chunk: list[PriceSeries], config: PipelineConfig) -> list[tuple[str, dict | Exception]]:
+    return list(process_chunk(chunk, config))
+
+
+def cut_chunks(stocks: list[PriceSeries], workers: int) -> list[list[PriceSeries]]:
+    """``stocks`` cut into at least ``workers`` chunks (one per stock when they are fewer), and as few as
+    hold at most ``CHUNK_STOCKS`` each, balanced by tick count: each stock, largest first, joins the chunk
+    with the fewest ticks that has room. Each chunk is in code order, and the chunks are in the order of
+    their first codes."""
+    count = min(len(stocks), max(workers, -(-len(stocks) // CHUNK_STOCKS)))
+    out: list[list[PriceSeries]] = [[] for _ in range(count)]
+    room = [(0, i) for i in range(count)]  # (ticks, chunk) of each chunk with room, as a heap
+    for series in sorted(stocks, key=lambda s: (-len(s), s.stock_code)):
+        ticks, i = heapq.heappop(room)
+        out[i].append(series)
+        if len(out[i]) < CHUNK_STOCKS:
+            heapq.heappush(room, (ticks + len(series), i))
+    return sorted((sorted(c, key=lambda s: s.stock_code) for c in out), key=lambda c: c[0].stock_code)
 
 
 def stock_rows(results: dict[str, dict], labels: list[str]) -> tuple[list[dict], list[dict]]:
@@ -389,7 +470,7 @@ def stock_rows(results: dict[str, dict], labels: list[str]) -> tuple[list[dict],
 
 
 def read_result(path, labels=()) -> dict:
-    """A per-stock result JSON as ``process_stock`` wrote it, holding every setting in ``labels``.
+    """A per-stock result JSON as ``run_all`` wrote it, holding every setting in ``labels``.
 
     Raises DataError naming a file that cannot be read, is not JSON, is not a per-stock result or lacks a setting.
     """
@@ -547,25 +628,46 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
         )
         print("\n".join([header, *(record(code, "done") for code in results)]), file=log, flush=True)
 
-        parallel = config.workers > 1 and len(pending) > 1
+        def settle(code: str, outcome: dict | Exception) -> None:
+            try:
+                if isinstance(outcome, Exception):
+                    raise outcome
+                all_series[code].to_interchange(out_dir / "series" / f"{code}.csv")
+                (out_dir / "per_stock" / f"{code}.json").write_text(
+                    json.dumps(outcome, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+                )
+            except Exception as exc:  # per-stock isolation: one bad stock cannot stop a run
+                print(record(code, "failed", f"{type(exc).__name__}: {exc}"), file=log, flush=True)
+                return
+            results[code] = outcome
+            print(record(code, "done"), file=log, flush=True)
+
+        tasks = cut_chunks([all_series[c] for c in pending], config.workers)
+        parallel = config.workers > 1 and len(tasks) > 1
+        interrupt = None
         with ProcessPoolExecutor(max_workers=config.workers) if parallel else nullcontext() as pool:
-            if parallel:  # pooled stocks are recorded as they finish
-                futures = {pool.submit(process_stock, all_series[c], config): c for c in pending}
+            if parallel:  # pooled chunks are recorded as they finish
+                futures = {pool.submit(_chunk_outcomes, chunk, config): chunk for chunk in tasks}
                 jobs = ((futures[f], f.result) for f in as_completed(futures))
-            else:
-                jobs = ((c, partial(process_stock, all_series[c], config)) for c in pending)
-            for code, compute in jobs:
+            else:  # in process, each stock is recorded as it finishes
+                jobs = ((chunk, partial(process_chunk, chunk, config)) for chunk in tasks)
+            for chunk, outcomes in jobs:
+                left = [series.stock_code for series in chunk]
                 try:
-                    outcome = compute()
-                    all_series[code].to_interchange(out_dir / "series" / f"{code}.csv")
-                    (out_dir / "per_stock" / f"{code}.json").write_text(
-                        json.dumps(outcome, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-                    )
-                except Exception as exc:  # per-stock isolation: one bad stock cannot stop a run
-                    print(record(code, "failed", f"{type(exc).__name__}: {exc}"), file=log, flush=True)
-                    continue
-                results[code] = outcome
-                print(record(code, "done"), file=log, flush=True)
+                    for code, outcome in outcomes():
+                        left.remove(code)
+                        settle(code, outcome)
+                except Exception as exc:  # the chunk as a whole failed, as when its worker died
+                    for code in left:
+                        settle(code, exc)
+                except BaseException as exc:
+                    if not parallel:
+                        raise
+                    # an interrupt inside one chunk: the pool still runs the others before it shuts
+                    # down, so their stocks are recorded first
+                    interrupt = interrupt or exc
+        if interrupt is not None:
+            raise interrupt
 
     _write_reports(out_dir, config, results, json_mirror)
     return manifest

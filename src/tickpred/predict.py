@@ -36,10 +36,19 @@ class PredictionTrace:
         return len(self.predicted)
 
 
-# Steps whose margin gates one vectorised pass checks. About one step in 25
-# fires in day-one training; below 16 the per-pass overhead dominates, and
-# 16 to 128 train equally fast within the timing noise.
-GATE_WINDOW = 16
+# Steps whose margin gates one vectorised pass checks, in ``_sweep`` and in
+# each round of ``train_together``. Day-one training fires 0.023-0.041 gates
+# per step on the 12 ``market_cold`` units (seed 1), so most windows end at a
+# fire. An earlier finding that 16 to 128 train equally fast was measured on
+# one unit. On those 12 units 32 beat 16: ``train`` alone took 610 ms against
+# 823, two lockstep batches of 6 took 328 against 397, and at 36 units per
+# batch 16, 24 and 32 were even (medians on a 2-core host).
+GATE_WINDOW = 32
+
+
+def _states(states) -> np.ndarray:
+    """A state sequence, or an object with one in ``.states``, as int64."""
+    return np.asarray(getattr(states, "states", states), dtype=np.int64)
 
 
 def _sq_lengths(d: np.ndarray) -> np.ndarray:
@@ -211,8 +220,10 @@ class DiffusionKernelModel:
         self.gate_checks += checks
         self.gate_fires += fires
 
-    def train(self, states) -> "DiffusionKernelModel":
-        seq = np.asarray(getattr(states, "states", states), dtype=np.int64).tolist()
+    def _register(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """Register and count the states of a training sequence, then its contexts; the context row and
+        positive row of each training step, ``negatives_per_step`` steps per transition."""
+        seq = _states(states).tolist()
         if len(seq) < 3:
             raise ValueError(f"need at least 3 states to train, got {len(seq)}")
         for s in seq:
@@ -221,8 +232,15 @@ class DiffusionKernelModel:
         k = self.negatives_per_step
         ctx = np.repeat([self._ensure_context(c) for c in zip(seq[:-2], seq[1:-1])], k)
         pos = np.repeat([self.state_rows[s] for s in seq[2:]], k)
+        return ctx, pos
+
+    def _epoch_rate(self, epoch: int) -> float:
+        return self.alpha0 * (1.0 - epoch / self.epochs)
+
+    def train(self, states) -> "DiffusionKernelModel":
+        ctx, pos = self._register(states)
         for epoch in range(self.epochs):
-            self._sweep(ctx, pos, self.alpha0 * (1.0 - epoch / self.epochs))
+            self._sweep(ctx, pos, self._epoch_rate(epoch))
         return self
 
     def update(self, context: Context, actual: int) -> None:
@@ -255,7 +273,7 @@ class DiffusionKernelModel:
         every state of day one and each tick registers its actual state, so
         every context online can be anchored at the midpoint of its members.
         """
-        seq = np.asarray(getattr(states, "states", states), dtype=np.int64).tolist()
+        seq = _states(states).tolist()
         if not 2 <= start <= len(seq):
             raise ValueError(f"online start {start} is outside 2..{len(seq)}")
         known = set(self.state_rows)
@@ -350,6 +368,107 @@ class DiffusionKernelModel:
         return self._nearest(self._distances(ctx_row))
 
 
+def train_together(models: list[DiffusionKernelModel], day_ones: list) -> None:
+    """Train each model on its day one, as ``model.train(day_one)`` would, with all models in lockstep.
+
+    Each model registers its states and contexts as ``train`` does. Then the models run their gated sweeps
+    together, one epoch at a time: each draws that epoch's negatives from its own generator as ``_sweep``
+    does, and each round checks the next ``GATE_WINDOW`` gates of every model still in the epoch in one
+    pass and applies each model's first firing step, all in one scatter. The rows of all models sit in
+    one table, so no two models share a row. Every model ends with the embeddings, counters and generator
+    state that ``train`` alone gives it, bit for bit, since a row's squared length from ``_sq_lengths``
+    does not depend on the rows computed with it.
+
+    The models are distinct and share their dimension, epochs, learning rate and margin; their
+    ``negatives_per_step`` may differ.
+    """
+    if len(models) != len(day_ones):
+        raise ValueError(f"{len(models)} models and {len(day_ones)} training sequences")
+    if len({id(m) for m in models}) < len(models):
+        raise ValueError("a model is given twice")
+    if len({(m.dim, m.epochs, m.alpha0, m.margin) for m in models}) > 1:
+        raise ValueError("the models must share their dimension, epochs, learning rate and margin")
+    short = [len(d) for d in map(_states, day_ones) if len(d) < 3]
+    if short:  # before any model changes
+        raise ValueError(f"need at least 3 states to train, got {short[0]}")
+    steps = [m._register(day_one) for m, day_one in zip(models, day_ones)]
+    # a model with one state or no steps draws nothing and checks no gate, as in _sweep
+    live = [(m, ctx, pos) for m, (ctx, pos) in zip(models, steps) if m._zs.n >= 2 and len(pos)]
+    if not live:
+        return
+    lead, window = live[0][0], GATE_WINDOW
+    # the table: each model's state rows then its context rows, then a zero row and a +inf row; a padding
+    # step runs from the zero row to itself and to the +inf row, so its gate always holds
+    sizes = np.array([[m._zs.n, m._zc.n] for m, _, _ in live])
+    zs_at = np.concatenate(([0], np.cumsum(sizes.sum(axis=1))))
+    table = np.empty((zs_at[-1] + 2, lead.dim))
+    for (m, _, _), at, (ns, nc) in zip(live, zs_at, sizes):
+        table[at : at + ns] = m._zs.view()
+        table[at + ns : at + ns + nc] = m._zc.view()
+    table[-2], table[-1] = 0.0, np.inf
+    # the context, positive and negative row of each model's steps, then of a window of padding steps
+    lengths = np.array([len(pos) for _, _, pos in live])
+    first = np.concatenate(([0], np.cumsum(lengths + window)))
+    rows = np.empty((3, first[-1]), dtype=np.int64)
+    rows.T[:] = len(table) - 2, len(table) - 2, len(table) - 1
+    for (_, ctx, pos), at, z, n in zip(live, first, zs_at, sizes[:, 0]):
+        rows[0, at : at + len(pos)] = ctx + z + n
+        rows[1, at : at + len(pos)] = pos + z
+    fires = np.zeros(len(live), dtype=np.int64)
+    for epoch in range(lead.epochs):
+        for (m, _, pos), at, z in zip(live, first, zs_at):
+            neg = m.rng.integers(0, m._zs.n - 1, size=len(pos))
+            neg += neg >= pos
+            rows[2, at : at + len(pos)] = neg + z
+        step = 2.0 * lead._epoch_rate(epoch)
+        fires += _lockstep_sweep(table, rows, first[:-1], first[:-1] + lengths, lead.margin, step)
+    for (m, _, pos), at, (ns, nc), f in zip(live, zs_at, sizes, fires.tolist()):
+        m._zs.data[:ns] = table[at : at + ns]
+        m._zc.data[:nc] = table[at + ns : at + ns + nc]
+        m.gate_checks += lead.epochs * len(pos)  # every step is checked once: a window stops at its first fire
+        m.gate_fires += f
+
+
+# the factors of a fired step's moves: the context's by step, the positive's by step, the negative's by -step
+_FIRE_SIGNS = np.array([1.0, 1.0, -1.0])[:, None, None]
+
+
+def _lockstep_sweep(table, rows, p, end, margin: float, step: float) -> np.ndarray:
+    """One sweep of several models' gated steps, as each model's ``_sweep`` at rate ``step / 2``; the
+    steps each model fired.
+
+    Model k's steps are ``rows[:, p[k]:end[k]]``, the context, positive and negative rows of ``table``,
+    and ``GATE_WINDOW`` padding steps follow them.
+    """
+    fires = np.zeros(len(p), dtype=np.int64)
+    active = np.arange(len(p))
+    offsets = np.arange(GATE_WINDOW)
+    factors = _FIRE_SIGNS * step
+    p = p.copy()
+    while len(active):
+        r = rows.take(p[:, None] + offsets, axis=1)  # (3, models, steps)
+        z = table.take(r, axis=0)
+        d = z[:1] - z[1:]  # context minus positive, context minus negative
+        sq = _sq_lengths(d)
+        held = sq[1] - sq[0] >= margin
+        f = held.argmin(axis=1)
+        fired = (~np.logical_and.reduce(held, axis=1)).nonzero()[0]
+        p += len(offsets)
+        if len(fired):
+            at = f[fired]
+            old = z[:, fired, at]
+            move = np.concatenate(((old[1] - old[2])[None], d[:, fired, at]))
+            move *= factors
+            old += move
+            table[r[:, fired, at]] = old
+            fires[active[fired]] += 1
+            p[fired] += at + 1 - len(offsets)
+        going = p < end
+        if not going.all():
+            p, end, active = p[going], end[going], active[going]
+    return fires
+
+
 def _stable_order(values: np.ndarray) -> np.ndarray:
     # numpy's stable sort of 16-bit ints is a radix sort, several times faster than its timsort
     return np.argsort(values.astype(np.uint16) if values.max() < 1 << 16 else values, kind="stable")
@@ -401,7 +520,7 @@ def run_protocol(
     kind = model_kind.lower()
     if kind not in ("mc", "dk"):
         raise ValueError(f"unknown model kind {model_kind!r} (expected 'mc' or 'dk')")
-    seq = np.asarray(getattr(states, "states", states), dtype=np.int64)
+    seq = _states(states)
     boundaries = list(day_boundaries)
     if len(boundaries) < 2:
         raise ValueError("protocol needs at least 2 trading days")

@@ -4,13 +4,15 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tickpred import ingest, pipeline
 from tickpred.errors import ConfigError
-from tickpred.pipeline import PipelineConfig, QuantizationSetting, child_seed, process_stock, run_all
+from tickpred.ingest import PriceSeries
+from tickpred.pipeline import PipelineConfig, QuantizationSetting, child_seed, finish_stock, run_all
 from tickpred.synthetic import write_tick_fixture
 
 
@@ -215,12 +217,20 @@ def test_run_all_isolates_corrupt_stock(fixture_csv, tmp_path):
     lines.append("999999,2021-01-04 09:30:00,5.00")
     lines.append("999999,2021-01-05 09:30:00,5.01")
     crippled.write_text("\n".join(lines) + "\n")
-    config = _config(crippled, tmp_path, out="out_corrupt")
-    manifest = run_all(config)
-    assert manifest.failed == ["999999"]
-    assert len(manifest.done) == 3
-    eval_lines = (Path(config.output_dir) / "reports" / "evaluation.csv").read_text().strip().splitlines()
-    assert len(eval_lines) == 1 + 3 * 2 * 2
+    clean = _config(fixture_csv, tmp_path, out="out_clean")
+    run_all(clean)
+    series, _ = ingest.load_series((str(crippled),), ingest.ColumnSchema())
+    for workers in (1, 2):
+        config = _config(crippled, tmp_path, out=f"out_corrupt{workers}", workers=workers)
+        manifest = run_all(config)
+        assert manifest.failed == ["999999"]
+        assert len(manifest.done) == 3
+        eval_lines = (Path(config.output_dir) / "reports" / "evaluation.csv").read_text().strip().splitlines()
+        assert len(eval_lines) == 1 + 3 * 2 * 2
+        # it shares a chunk, and its chunk-mates come out as in a run without it
+        chunks = [[s.stock_code for s in c] for c in pipeline.cut_chunks(list(series.values()), workers)]
+        assert any("999999" in c and len(c) > 1 for c in chunks)
+        assert _tree(config.output_dir, ("per_stock",)) == _tree(clean.output_dir, ("per_stock",))
 
 
 def test_run_all_records_drop_reasons(fixture_csv, tmp_path):
@@ -240,6 +250,27 @@ def test_run_all_state_count_setting(fixture_csv, tmp_path):
     assert manifest.failed == []
     pred = (Path(config.output_dir) / "reports" / "predictability.csv").read_text().strip().splitlines()
     assert pred[1].split(",")[1] == "SP=50"
+
+
+def _stub_series(code, n_ticks):
+    return PriceSeries(code, np.zeros(n_ticks, dtype=np.int64), np.zeros(n_ticks, dtype=np.int64), [0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ticks=st.lists(st.integers(1, 1_000), max_size=70), workers=st.integers(1, 8))
+def test_chunks_cover_every_stock_capped_and_balanced(ticks, workers):
+    stocks = [_stub_series(f"{i:06d}", n) for i, n in enumerate(ticks)]
+    chunks = pipeline.cut_chunks(stocks, workers)
+    assert sorted(s.stock_code for c in chunks for s in c) == [s.stock_code for s in stocks]
+    if not stocks:
+        return
+    assert len(chunks) == min(len(stocks), max(workers, -(-len(stocks) // pipeline.CHUNK_STOCKS)))
+    assert all(0 < len(c) <= pipeline.CHUNK_STOCKS for c in chunks)
+    assert all([s.stock_code for s in c] == sorted(s.stock_code for s in c) for c in chunks)
+    # the lightest chunk had room for each stock when it came, largest first
+    loads = [sum(len(s) for s in c) for c in chunks]
+    if all(len(c) < pipeline.CHUNK_STOCKS for c in chunks):
+        assert max(loads) - min(loads) <= max(ticks)
 
 
 def _tree(root, subdirs=("reports", "plots", "per_stock")):
@@ -304,7 +335,7 @@ def layout_reference(tmp_path_factory):
 
 
 @settings(max_examples=8, deadline=None)
-@given(layout_seed=st.integers(0, 2**32 - 1), n_files=st.integers(1, 3), workers=st.integers(1, 2))
+@given(layout_seed=st.integers(0, 2**32 - 1), n_files=st.integers(1, 3), workers=st.integers(1, 3))
 def test_outputs_do_not_depend_on_workers_or_row_layout(layout_reference, tmp_path_factory, layout_seed, n_files, workers):
     config = layout_reference
     header, *rows = Path(config.inputs[0]).read_text().splitlines(keepends=True)
@@ -327,24 +358,24 @@ def test_outputs_do_not_depend_on_workers_or_row_layout(layout_reference, tmp_pa
 
 
 def _record_computed(monkeypatch, fail_on=None):
-    """Patch process_stock to log the stocks it computes; raise KeyboardInterrupt on ``fail_on``."""
+    """Patch finish_stock to log the stocks it computes; raise KeyboardInterrupt on ``fail_on``."""
     computed = []
 
-    def spy(series, config):
+    def spy(series, config, *staged):
         if series.stock_code == fail_on:
             raise KeyboardInterrupt
         computed.append(series.stock_code)
-        return process_stock(series, config)
+        return finish_stock(series, config, *staged)
 
-    monkeypatch.setattr(pipeline, "process_stock", spy)
+    monkeypatch.setattr(pipeline, "finish_stock", spy)
     return computed
 
 
-def _interrupt_at_600000(series, config):
-    """process_stock that a worker process can unpickle; stands for a kill while 600000 runs."""
+def _interrupt_at_600000(series, config, *staged):
+    """finish_stock that a worker process can unpickle; stands for a kill while 600000 runs."""
     if series.stock_code == "600000":
         raise KeyboardInterrupt
-    return process_stock(series, config)
+    return finish_stock(series, config, *staged)
 
 
 def _interrupt(*args):
@@ -362,13 +393,13 @@ def test_interrupted_run_resumes(fixture_csv, tmp_path, monkeypatch, workers):
     config = _config(fixture_csv, tmp_path, workers=workers)
     reference = _config(fixture_csv, tmp_path, out="reference")
     run_all(reference)
-    monkeypatch.setattr(pipeline, "process_stock", _interrupt_at_600000)
+    monkeypatch.setattr(pipeline, "finish_stock", _interrupt_at_600000)
     with pytest.raises(KeyboardInterrupt):
         run_all(config)
     done = _done_lines(config.output_dir)
     if workers == 1:
         assert done == ["000001", "000002"]
-    else:  # pooled stocks are recorded as they finish, so the kill may beat one of them
+    else:  # pooled stocks are recorded as their chunk finishes, so the kill takes 600000's chunk-mates with it
         assert done and set(done) <= {"000001", "000002"}
 
     computed = _record_computed(monkeypatch)
@@ -500,10 +531,10 @@ def test_manifest_counts_malformed_rows_per_input_file(fixture_csv, tmp_path):
     assert _tree(dirty.output_dir, ("reports", "plots")) == _tree(clean.output_dir, ("reports", "plots"))
 
 
-def _fail_at_600000(series, config):
+def _fail_at_600000(series, config, *staged):
     if series.stock_code == "600000":
         raise ValueError("no result")
-    return process_stock(series, config)
+    return finish_stock(series, config, *staged)
 
 
 @pytest.mark.parametrize("change", ["input", "config"])
@@ -517,7 +548,7 @@ def test_rerun_keeps_files_only_of_done_stocks(fixture_csv, tmp_path, monkeypatc
         fixture_csv.write_text("".join(row for row in rows if not row.startswith("600000,")))
     else:  # a new config under which 600000 fails
         config = dataclasses.replace(config, seed=8)
-        monkeypatch.setattr(pipeline, "process_stock", _fail_at_600000)
+        monkeypatch.setattr(pipeline, "finish_stock", _fail_at_600000)
     assert run_all(config).done == ["000001", "000002"]
     for sub, suffix in (("per_stock", ".json"), ("series", ".csv")):
         assert sorted(p.name for p in (out / sub).iterdir()) == [f"000001{suffix}", f"000002{suffix}"]
@@ -647,9 +678,9 @@ def test_rerun_parses_when_the_last_run_does_not_stand(fixture_csv, tmp_path, mo
     if case == "file added":
         (inputs / "b.csv").rename(aside)
     elif case == "interrupted run":
-        monkeypatch.setattr(pipeline, "process_stock", _interrupt_at_600000)
+        monkeypatch.setattr(pipeline, "finish_stock", _interrupt_at_600000)
     elif case == "failed stock":
-        monkeypatch.setattr(pipeline, "process_stock", _fail_at_600000)
+        monkeypatch.setattr(pipeline, "finish_stock", _fail_at_600000)
     elif case == "numpy version":  # the previous run recorded another numpy
         monkeypatch.setattr(pipeline.np, "__version__", "1.24.0")
     try:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tickpred import predict
 from tickpred.entropy import estimate_entropy
 from tickpred.evaluate import accuracy
-from tickpred.predict import DiffusionKernelModel, run_protocol
+from tickpred.predict import DiffusionKernelModel, run_protocol, train_together
 from tickpred.predictability import fano_solve
 from tickpred.synthetic import markov2_entropy_rate, markov2_source
 
@@ -358,6 +358,66 @@ def test_dk_run_online_matches_predict_then_update(day_one, online, seed, dim, n
     fused = DiffusionKernelModel(seed=seed, **params).train(day_one)
     assert fused.run_online(seq, len(day_one)).tobytes() == np.array(predicted, dtype=np.int64).tobytes()
     assert _dk_model_state(fused) == _dk_model_state(oracle)
+
+
+def test_sq_lengths_of_a_window_do_not_depend_on_the_batch_around_it():
+    # train_together checks many models' gate windows in one pass and must read the bits that _sweep
+    # reads from one window alone; numpy does not promise that einsum's sums ignore the rows around them
+    rng = np.random.default_rng(2012)
+    for _ in range(2_000):
+        k, dim = int(rng.integers(1, 65)), int(rng.integers(2, 21))
+        scale = 10.0 ** rng.integers(-3, 4, size=(k, 1, 1, 1))
+        batch = rng.uniform(-1.0, 1.0, (k, predict.GATE_WINDOW, 2, dim)) * scale  # (models, steps, pair, dim)
+        lockstep = np.ascontiguousarray(batch.transpose(2, 0, 1, 3))  # the layout of train_together's rounds
+        i = int(rng.integers(k))
+        alone = predict._sq_lengths(batch[i].copy())
+        assert alone.tobytes() == predict._sq_lengths(batch)[i].tobytes()
+        assert alone.tobytes() == np.ascontiguousarray(predict._sq_lengths(lockstep)[:, i].T).tobytes()
+
+
+@st.composite
+def _dk_units(draw):
+    """Units for one batch, mixed by length, state count, seed and negatives, some of which draw nothing."""
+    units = []
+    for _ in range(draw(st.integers(1, 6))):
+        n_states = draw(st.integers(1, 6))  # one state: n < 2, nothing to draw
+        seq = draw(st.lists(st.integers(0, n_states - 1), min_size=3, max_size=90))
+        units.append((seq, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 6))))  # 0 negatives: no steps
+    return units
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    units=_dk_units(),
+    dim=st.integers(2, 20),
+    epochs=st.integers(1, 3),
+    margin=st.sampled_from([0.25, 1.0, 4.0]),
+    window=st.sampled_from([1, 3, predict.GATE_WINDOW]),
+)
+@example(
+    units=[([0, 0, 0, 0], 1, 5), ([0, 1, 2, 0, 1, 2], 2, 5), ([1, 0, 1], 3, 0)], dim=4, epochs=2, margin=1.0, window=32
+)
+def test_train_together_equals_train_alone(units, dim, epochs, margin, window):
+    params = dict(dim=dim, epochs=epochs, alpha0=0.3, margin=margin)
+    alone = [DiffusionKernelModel(seed=seed, negatives_per_step=k, **params).train(seq) for seq, seed, k in units]
+    batch = [DiffusionKernelModel(seed=seed, negatives_per_step=k, **params) for seq, seed, k in units]
+    with mock.patch.object(predict, "GATE_WINDOW", window):  # the window changes the rounds, not the result
+        train_together(batch, [np.array(seq) for seq, _, _ in units])
+    assert [_dk_model_state(m) for m in batch] == [_dk_model_state(m) for m in alone]
+
+
+def test_train_together_rejects_what_it_cannot_batch():
+    model = DiffusionKernelModel(seed=0)
+    with pytest.raises(ValueError, match="1 models and 2"):
+        train_together([model], [[1, 2, 3], [1, 2, 3]])
+    with pytest.raises(ValueError, match="given twice"):
+        train_together([model, model], [[1, 2, 3], [1, 2, 3]])
+    with pytest.raises(ValueError, match="share"):
+        train_together([model, DiffusionKernelModel(margin=2.0)], [[1, 2, 3], [1, 2, 3]])
+    with pytest.raises(ValueError, match="at least 3"):
+        train_together([model, DiffusionKernelModel(seed=1)], [[1, 2, 3], [1, 2]])
+    assert model.n_states == 0  # nothing registered before the check
+    train_together([], [])
 
 
 def test_dk_run_online_keeps_draw_order_when_a_context_cannot_be_anchored():
