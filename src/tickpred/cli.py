@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .entropy import estimate_entropy
 from .errors import ConfigError, DataError, read_table
 from .features import CATEGORICAL, FEATURE_HEADER, QUANTITATIVE, correlate_features, load_metadata, load_per_stock_dir
 from .ingest import ColumnSchema, PriceSeries, load_series
-from .pipeline import PipelineConfig, QuantizationSetting, run_all, stock_rows, unit_report, unit_trace, write_csv, write_json_mirror
+from .pipeline import PipelineConfig, QuantizationSetting, run_all, stock_rows, unit_scores, unit_trace, write_csv, write_json_mirror
 from .predict import PredictionTrace
 from .predictability import fano_solve
 from .quantize import quantize_with
@@ -111,10 +111,7 @@ def cmd_predict(args) -> int:
     if len(states) != len(series):
         raise DataError(f"{args.input} holds {len(states)} states but {args.series} holds {len(series)} prices")
     trace = unit_trace(config, states, series, setting, args.model)
-    rows = [
-        [trace.start_index + i, int(p), int(a)]
-        for i, (p, a) in enumerate(zip(trace.predicted.tolist(), trace.actual.tolist()))
-    ]
+    rows = zip(range(trace.start_index, len(states)), trace.predicted.tolist(), trace.actual.tolist())
     write_csv(args.out or sys.stdout, ["index", "predicted", "actual"], rows)
     return 0
 
@@ -129,9 +126,9 @@ def cmd_evaluate(args) -> int:
     if index.min() < 0 or index.max() >= len(series):
         raise DataError(f"{args.trace}: index outside the {len(series)} prices of {args.series}")
     trace = PredictionTrace(series.stock_code, args.model, predicted, actual, start_index=int(index[0]))
-    report = unit_report(config, trace, series, setting.scheme_for(series), index)
-    header = ["stock_code", "model", "acc", "rmse", "rmse_ratio_permille", "n_test"]
-    row = list(astuple(report))  # the report's fields in header order
+    scores = unit_scores(config, trace, series, setting.scheme_for(series), index)
+    header = ["stock_code", "model", *scores]
+    row = [trace.stock_code, trace.model, *scores.values()]
     write_csv(args.out or sys.stdout, header, [row])
     if args.json:
         write_json_mirror(Path(args.out).with_suffix(".json"), header, [row])

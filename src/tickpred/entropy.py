@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantize import state_array
+
 _SHORT_DESCENT = 4  # levels every rank descends first; the few longer runs descend again with all
 
 
@@ -45,18 +47,13 @@ class EntropyEstimate:
         return math.log(self.n) / self.mean_match_length
 
 
-def _as_state_array(states) -> np.ndarray:
-    arr = getattr(states, "states", states)
-    return np.asarray(arr, dtype=np.int64)
-
-
 def match_lengths(states) -> np.ndarray:
     """Shortest-unseen-substring length at every position (reference implementation).
 
     For each start position the set of candidate occurrence positions in the
     prefix is refined one extension character at a time until it empties.
     """
-    s = _as_state_array(states)
+    s = state_array(states)
     n = len(s)
     if n == 0:
         raise ValueError("empty sequence")
@@ -101,7 +98,7 @@ def match_lengths_fast(states) -> np.ndarray:
        minima finds where distance meets lcp: LPnF is the larger of the last
        distance below the lcp and the first lcp at or below the distance.
     """
-    s = _as_state_array(states)
+    s = state_array(states)
     n = len(s)
     if n == 0:
         raise ValueError("empty sequence")
@@ -306,7 +303,7 @@ def _lpnf_over_tree(sa: np.ndarray, sa_min: np.ndarray, lcp_min: np.ndarray, sid
 
 def estimate_entropy(states, keep_match_lengths: bool = False) -> EntropyEstimate:
     """Entropy rate estimate in bits per symbol: log2(n) / mean match length."""
-    s = _as_state_array(states)
+    s = state_array(states)
     n = len(s)
     if n < 2:
         raise ValueError(f"need at least 2 observations to estimate entropy, got {n}")

@@ -29,17 +29,17 @@ import json
 import platform
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Iterator, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .entropy import estimate_entropy
 from .errors import ConfigError, DataError, read_text
-from .evaluate import EvaluationReport, evaluate_trace
+from .evaluate import evaluate_trace
 from .ingest import (
     DEFAULT_MIN_LENGTH,
     DEFAULT_MIN_STATES,
@@ -240,13 +240,21 @@ class QuantizationSetting:
     def admit(
         self, series: PriceSeries, min_length: int, min_states: int
     ) -> tuple[QuantizationScheme | None, str | None]:
-        """``(scheme, None)`` if a run analyses ``series`` under this setting, else ``(None, reason)``."""
+        """``(scheme, None)`` if a run analyses ``series`` under this setting, else ``(None, reason)``.
+
+        The rules that need no scheme come first, so a stock they drop has one reason under every setting.
+        Both predictors train on day one, which needs at least 3 ticks.
+        """
+        if series.n_days < 2:
+            return None, "fewer than 2 trading days"
+        if len(series) < min_length:
+            return None, f"too short ({len(series)} < {min_length} ticks)"
+        if series.day_boundaries[1] < 3:
+            return None, f"day one too short ({series.day_boundaries[1]} < 3 ticks)"
         try:
             scheme = self.scheme_for(series)
         except ValueError as exc:
             return None, str(exc)
-        if series.n_days < 2:
-            return None, "fewer than 2 trading days"
         decision = filter_series(series, scheme, min_length, min_states)
         return (scheme, None) if decision.keep else (None, decision.reason)
 
@@ -260,9 +268,6 @@ class RunManifest:
     tool_version: str = __version__
     malformed: dict[str, int] = field(default_factory=dict)  # input file -> malformed rows skipped, where any
     statuses: dict[str, tuple[str, str]] = field(default_factory=dict)  # code -> (status, reason)
-
-    def mark(self, code: str, status: str, reason: str = "") -> None:
-        self.statuses[code] = (status, reason)
 
     @property
     def failed(self) -> list[str]:
@@ -285,7 +290,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(target, header: list[str], rows: list[list]) -> None:
+def write_csv(target, header: list[str], rows: Iterable[Sequence]) -> None:
     """Write UTF-8 CSV with ``\\n`` line ends to a path or an open text stream.
 
     Fields are quoted only when they hold a delimiter, quote or line end.
@@ -315,50 +320,35 @@ def unit_trace(
     )
 
 
-def unit_report(
+def unit_scores(
     config: PipelineConfig, trace: PredictionTrace, series: PriceSeries, scheme: QuantizationScheme, ticks
-) -> EvaluationReport:
-    """Score a unit's trace, whose actual states are the ``series`` ticks at ``ticks`` (an index array or slice).
+) -> dict:
+    """The evaluation row of a unit's trace, whose actual states are the ``series`` ticks at ``ticks`` (an
+    index array or slice): ``acc``, ``rmse``, ``rmse_ratio_permille`` and ``n_test``.
 
     RMSE is against the raw prices of those ticks or their dequantized actual states, as ``config.rmse_against``
     says; the ratio is to the series' mean price.
     """
     raw = series.prices_cny[ticks] if config.rmse_against == "raw" else None
-    return evaluate_trace(trace, scheme, raw_prices=raw, avgprice=series.mean_price())
-
-
-class DKUnit(NamedTuple):
-    """A kept (stock, setting) pair's diffusion-kernel run: ``model`` trains on ``states[:start]``, the first
-    trading day, then predicts and updates every later state."""
-
-    label: str
-    scheme: QuantizationScheme
-    states: np.ndarray
-    start: int
-    model: DiffusionKernelModel
-
-
-def _scores(config: PipelineConfig, trace: PredictionTrace, series: PriceSeries, scheme: QuantizationScheme) -> dict:
-    report = unit_report(config, trace, series, scheme, slice(trace.start_index, None))
+    report = evaluate_trace(trace, scheme, raw_prices=raw, avgprice=series.mean_price())
     return {
-        "acc": report.acc,
-        "rmse": report.rmse,
-        "rmse_ratio_permille": report.rmse_price_ratio,
-        "n_test": report.n_test,
+        "acc": report.acc, "rmse": report.rmse, "rmse_ratio_permille": report.rmse_price_ratio, "n_test": report.n_test
     }
 
 
-def stock_part(series: PriceSeries, config: PipelineConfig) -> tuple[dict, list[DKUnit]]:
-    """A stock's result short of its DK rows, and its DK units with their models untrained.
+def stock_part(series: PriceSeries, config: PipelineConfig) -> tuple[dict, list[tuple]]:
+    """A stock's result short of its DK rows, and its DK units: for each kept setting, the untrained model,
+    the states, the scheme and the ``models`` entry that the DK row goes in.
 
-    For every configured quantization setting: admit, quantize, entropy, the bound and the MC run.
+    For every configured quantization setting: admit, quantize, entropy, the bound and the MC run. Volatility
+    is ``None`` for a stock of fewer than 3 ticks, where it is not defined.
     """
     result: dict = {
         "stock_code": series.stock_code,
         "n_ticks": len(series),
         "n_days": series.n_days,
         "avgprice": series.mean_price(),
-        "volatility": volatility(series.prices_cny, n_convention=config.volatility_n),
+        "volatility": volatility(series.prices_cny, n_convention=config.volatility_n) if len(series) >= 3 else None,
         "settings": {},
     }
     units = []
@@ -370,6 +360,7 @@ def stock_part(series: PriceSeries, config: PipelineConfig) -> tuple[dict, list[
             continue
         seq = quantize_with(series, scheme)
         est = estimate_entropy(seq)
+        mc = unit_trace(config, seq, series, setting, "mc")
         entry.update(
             {
                 "scheme": json.loads(scheme.to_json()),
@@ -378,22 +369,21 @@ def stock_part(series: PriceSeries, config: PipelineConfig) -> tuple[dict, list[
                 "s_est": est.s_est,
                 "mean_match_length": est.mean_match_length,
                 "pi_max": fano_solve(est.s_est, seq.n_distinct),
-                "models": {"mc": _scores(config, unit_trace(config, seq, series, setting, "mc"), series, scheme)},
+                "models": {"mc": unit_scores(config, mc, series, scheme, slice(mc.start_index, None))},
             }
         )
-        # the MC run has checked the day boundaries that the DK model's training and online run need
         seed = child_seed(config.seed, series.stock_code, setting.label, "dk")
-        model = DiffusionKernelModel(seed=seed, **config.dk_params())
-        units.append(DKUnit(setting.label, scheme, seq.states, series.day_boundaries[1], model))
+        units.append((DiffusionKernelModel(seed=seed, **config.dk_params()), seq.states, scheme, entry["models"]))
     return result, units
 
 
-def finish_stock(series: PriceSeries, config: PipelineConfig, result: dict, units: list[DKUnit]) -> dict:
-    """``result`` with the DK rows of ``units``, whose models are trained: each runs online and is scored."""
-    for unit in units:
-        predicted = unit.model.run_online(unit.states, unit.start)
-        trace = PredictionTrace(series.stock_code, "dk", predicted, unit.states[unit.start :].copy(), unit.start)
-        result["settings"][unit.label]["models"]["dk"] = _scores(config, trace, series, unit.scheme)
+def finish_stock(series: PriceSeries, config: PipelineConfig, result: dict, units: list[tuple]) -> dict:
+    """``result`` with the DK rows of ``units``, whose models are trained: each runs online from day two and
+    is scored."""
+    for model, states, scheme, models in units:
+        start = series.day_boundaries[1]
+        trace = PredictionTrace(series.stock_code, "dk", model.run_online(states, start), states[start:], start)
+        models["dk"] = unit_scores(config, trace, series, scheme, slice(start, None))
     return result
 
 
@@ -411,8 +401,8 @@ def process_chunk(chunk: list[PriceSeries], config: PipelineConfig) -> Iterator[
             staged.append((series, *stock_part(series, config)))
         except Exception as exc:
             yield series.stock_code, exc
-    dk = [unit for _, _, units in staged for unit in units]
-    train_together([u.model for u in dk], [u.states[: u.start] for u in dk])
+    dk = [(model, states[: series.day_boundaries[1]]) for series, _, units in staged for model, states, *_ in units]
+    train_together([model for model, _ in dk], [day_one for _, day_one in dk])
     for series, result, units in staged:
         try:
             yield series.stock_code, finish_stock(series, config, result, units)
@@ -612,20 +602,12 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
         # one line per stock as it is reused, finished or failed; a "done"
         # line follows the writes of that stock's series and per-stock JSON
         def record(code: str, status: str, reason: str = "") -> str:
-            manifest.mark(code, status, reason)
+            manifest.statuses[code] = (status, reason)
             return json.dumps({"stock": code, "status": status, "reason": reason, "digest": digests[code]})
 
         # the header and every reused stock go in one write, so a kill can lose
         # the previous run's "done" lines only inside that write
-        header = json.dumps(
-            {
-                **key,
-                "input_digest": manifest.input_digest,
-                "stocks": manifest.stocks,
-                "tool_version": manifest.tool_version,
-                "malformed": manifest.malformed,
-            }
-        )
+        header = json.dumps({k: v for k, v in asdict(manifest).items() if k != "statuses"})
         print("\n".join([header, *(record(code, "done") for code in results)]), file=log, flush=True)
 
         def settle(code: str, outcome: dict | Exception) -> None:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantize import state_array
+
 Context = tuple[int, int]
 
 
@@ -44,11 +46,6 @@ class PredictionTrace:
 # 823, two lockstep batches of 6 took 328 against 397, and at 36 units per
 # batch 16, 24 and 32 were even (medians on a 2-core host).
 GATE_WINDOW = 32
-
-
-def _states(states) -> np.ndarray:
-    """A state sequence, or an object with one in ``.states``, as int64."""
-    return np.asarray(getattr(states, "states", states), dtype=np.int64)
 
 
 def _sq_lengths(d: np.ndarray) -> np.ndarray:
@@ -223,7 +220,7 @@ class DiffusionKernelModel:
     def _register(self, states) -> tuple[np.ndarray, np.ndarray]:
         """Register and count the states of a training sequence, then its contexts; the context row and
         positive row of each training step, ``negatives_per_step`` steps per transition."""
-        seq = _states(states).tolist()
+        seq = state_array(states).tolist()
         if len(seq) < 3:
             raise ValueError(f"need at least 3 states to train, got {len(seq)}")
         for s in seq:
@@ -273,7 +270,7 @@ class DiffusionKernelModel:
         every state of day one and each tick registers its actual state, so
         every context online can be anchored at the midpoint of its members.
         """
-        seq = _states(states).tolist()
+        seq = state_array(states).tolist()
         if not 2 <= start <= len(seq):
             raise ValueError(f"online start {start} is outside 2..{len(seq)}")
         known = set(self.state_rows)
@@ -388,7 +385,7 @@ def train_together(models: list[DiffusionKernelModel], day_ones: list) -> None:
         raise ValueError("a model is given twice")
     if len({(m.dim, m.epochs, m.alpha0, m.margin) for m in models}) > 1:
         raise ValueError("the models must share their dimension, epochs, learning rate and margin")
-    short = [len(d) for d in map(_states, day_ones) if len(d) < 3]
+    short = [len(d) for d in map(state_array, day_ones) if len(d) < 3]
     if short:  # before any model changes
         raise ValueError(f"need at least 3 states to train, got {short[0]}")
     steps = [m._register(day_one) for m, day_one in zip(models, day_ones)]
@@ -520,7 +517,7 @@ def run_protocol(
     kind = model_kind.lower()
     if kind not in ("mc", "dk"):
         raise ValueError(f"unknown model kind {model_kind!r} (expected 'mc' or 'dk')")
-    seq = _states(states)
+    seq = state_array(states)
     boundaries = list(day_boundaries)
     if len(boundaries) < 2:
         raise ValueError("protocol needs at least 2 trading days")

@@ -73,6 +73,11 @@ class QuantizedSequence:
         return len(self.states)
 
 
+def state_array(states) -> np.ndarray:
+    """A state sequence, or an object with one in ``.states`` such as a ``QuantizedSequence``, as int64."""
+    return np.asarray(getattr(states, "states", states), dtype=np.int64)
+
+
 def fixed_interval_scheme(t_cny: float) -> QuantizationScheme:
     """Scheme with a fixed bucket width: a whole number of hundredths >= 0.01, else a ConfigError."""
     if t_cny < MIN_INTERVAL_CNY:

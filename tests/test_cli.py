@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from tickpred import pipeline
 from tickpred.cli import build_parser, main
+from tickpred.pipeline import stock_part
 from tickpred.synthetic import write_tick_fixture
 
 
@@ -24,6 +26,13 @@ def workspace(tmp_path, monkeypatch):
 def _read_rows(path):
     with open(path, newline="", encoding="utf-8") as f:
         return list(csv.DictReader(f))
+
+
+def _fail_stock_a(series, config):
+    """stock_part that fails stock A, as a stock whose data breaks a stage would."""
+    if series.stock_code == "A":
+        raise ValueError("no result")
+    return stock_part(series, config)
 
 
 def test_full_subcommand_chain(workspace, capsys):
@@ -119,6 +128,37 @@ def test_ingest_filter_drops_what_run_all_drops(workspace):
             reason = drops.get((r["stock_code"], f"T={interval}"), "")
             assert (r["reason"], r["kept"]) == (reason, "0" if reason else "1"), (interval, r)
             assert Path(f"series{interval}/{r['stock_code']}.csv").exists() == (not reason)
+
+
+def _two_ticks():
+    Path("short.csv").write_text("code,time,price\nA,2021-01-04 09:30:00,1.00\nA,2021-01-05 09:30:00,1.01\n")
+    return "A", "too short (2 < 100 ticks)"
+
+
+def _two_ticks_on_day_one():
+    write_tick_fixture("long.csv", codes=("888888",), days=2, ticks_per_day=1200)
+    header, *rows = Path("long.csv").read_text().splitlines(keepends=True)
+    Path("short.csv").write_text(header + "".join(rows[:2] + rows[1200:]))  # 1,202 ticks
+    return "888888", "day one too short (2 < 3 ticks)"
+
+
+@pytest.mark.parametrize("make_stock", [_two_ticks, _two_ticks_on_day_one], ids=["two ticks", "two ticks on day one"])
+def test_short_stock_is_dropped_under_every_setting_not_failed(workspace, capsys, make_stock):
+    code, reason = make_stock()
+    Path("run.cfg").write_text(
+        "input = short.csv, ticks.csv\nstate_count = 20\nmin_length = 100\nmin_states = 5\noutput_dir = out\n"
+    )
+    assert main(["run-all", "--config", "run.cfg"]) == 0
+    assert "failed: 0" in capsys.readouterr().err
+    labels = ["T=0.01", "T=0.05", "SP=20"]
+    drops = [(r["setting"], r["reason"]) for r in _read_rows("out/reports/drops.csv") if r["stock_code"] == code]
+    assert drops == [(label, reason) for label in labels]
+    result = json.loads(Path(f"out/per_stock/{code}.json").read_text())
+    assert (result["volatility"] is None) == (code == "A")  # defined from 3 ticks on
+    for label in labels:  # ingest drops it with run-all's reason
+        argv = ["ingest", "--input", "short.csv", "--out", "series", "--report", "ingest.csv", "--config", "run.cfg"]
+        assert main([*argv, "--setting", label]) == 0
+        assert [(r["stock_code"], r["kept"], r["reason"]) for r in _read_rows("ingest.csv")] == [(code, "0", reason)]
 
 
 @pytest.mark.parametrize(
@@ -327,13 +367,14 @@ def test_print_config_lists_defaults(workspace, capsys):
     )
 
 
-def test_exit_codes(workspace):
+def test_exit_codes(workspace, monkeypatch):
     assert main(["run-all", "--config", "missing.cfg"]) == 1  # config error
     assert main(["run-all"]) == 1  # no config given
     Path("bad.cfg").write_text("input = nowhere.csv\noutput_dir = out\n")
     assert main(["run-all", "--config", "bad.cfg"]) == 2  # data error
     Path("short.csv").write_text("code,time,price\nA,2021-01-04 09:30:00,1.00\nA,2021-01-05 09:30:00,1.01\n")
     Path("partial.cfg").write_text("input = short.csv, ticks.csv\nmin_length = 100\nmin_states = 5\noutput_dir = outp\n")
+    monkeypatch.setattr(pipeline, "stock_part", _fail_stock_a)
     assert main(["run-all", "--config", "partial.cfg"]) == 3  # partial failure
     Path("tiny.cfg").write_text("intervals = 0.001\n")  # below the price precision
     assert main(["quantize", "--input", "x.csv", "--config", "tiny.cfg", "--setting", "T=0.00", "--out", "y.csv"]) == 1
@@ -448,9 +489,10 @@ def test_unwritable_out_is_config_error(workspace, capsys):
     assert err.startswith("config error: no_dir/x.csv: ") and "Traceback" not in err
 
 
-def test_partial_failure_still_writes_reports(workspace):
+def test_partial_failure_still_writes_reports(workspace, monkeypatch):
     Path("short.csv").write_text("code,time,price\nA,2021-01-04 09:30:00,1.00\nA,2021-01-05 09:30:00,1.01\n")
     Path("partial.cfg").write_text("input = short.csv, ticks.csv\nmin_length = 100\nmin_states = 5\noutput_dir = outp\n")
+    monkeypatch.setattr(pipeline, "stock_part", _fail_stock_a)
     assert main(["run-all", "--config", "partial.cfg"]) == 3
     manifest_lines = Path("outp/manifest.jsonl").read_text().strip().splitlines()
     statuses = {json.loads(l)["stock"]: json.loads(l)["status"] for l in manifest_lines[1:]}

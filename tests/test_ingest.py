@@ -529,3 +529,13 @@ def test_filter_is_deterministic():
     a = filter_series(series, fixed_interval_scheme(0.05), min_length=50, min_states=10)
     b = filter_series(series, fixed_interval_scheme(0.05), min_length=50, min_states=10)
     assert a == b
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    write_tick_fixture("ticks.csv")
+    exec(compile(block, "README.md", "exec"), {})
+    acc, rmse = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= acc <= 1.0 and rmse >= 0.0

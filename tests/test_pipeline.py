@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tickpred import ingest, pipeline
 from tickpred.errors import ConfigError
 from tickpred.ingest import PriceSeries
-from tickpred.pipeline import PipelineConfig, QuantizationSetting, child_seed, finish_stock, run_all
+from tickpred.pipeline import PipelineConfig, QuantizationSetting, child_seed, finish_stock, run_all, stock_part
 from tickpred.synthetic import write_tick_fixture
 
 
@@ -210,8 +210,14 @@ def test_run_all_reruns_when_config_changes(fixture_csv, tmp_path):
     assert (Path(config.output_dir) / "manifest.jsonl").read_text() != manifest_text
 
 
-def test_run_all_isolates_corrupt_stock(fixture_csv, tmp_path):
-    # a stock with two ticks cannot produce features or a protocol run
+def _fail_at_999999(series, config):
+    """stock_part that a worker process can unpickle; 999999 fails, as a stock whose data breaks a stage would."""
+    if series.stock_code == "999999":
+        raise ValueError("no result")
+    return stock_part(series, config)
+
+
+def test_run_all_isolates_corrupt_stock(fixture_csv, tmp_path, monkeypatch):
     crippled = tmp_path / "ticks2.csv"
     lines = fixture_csv.read_text().strip().splitlines()
     lines.append("999999,2021-01-04 09:30:00,5.00")
@@ -220,6 +226,7 @@ def test_run_all_isolates_corrupt_stock(fixture_csv, tmp_path):
     clean = _config(fixture_csv, tmp_path, out="out_clean")
     run_all(clean)
     series, _ = ingest.load_series((str(crippled),), ingest.ColumnSchema())
+    monkeypatch.setattr(pipeline, "stock_part", _fail_at_999999)
     for workers in (1, 2):
         config = _config(crippled, tmp_path, out=f"out_corrupt{workers}", workers=workers)
         manifest = run_all(config)
