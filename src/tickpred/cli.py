@@ -9,7 +9,6 @@ subcommands mirror to JSON with --json.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +19,7 @@ from .entropy import estimate_entropy
 from .errors import ConfigError, DataError, read_table
 from .features import CATEGORICAL, FEATURE_HEADER, QUANTITATIVE, correlate_features, load_metadata, load_per_stock_dir
 from .ingest import ColumnSchema, PriceSeries, load_series
-from .pipeline import PipelineConfig, QuantizationSetting, run_all, stock_rows, unit_scores, unit_trace, write_csv, write_json_mirror
+from .pipeline import PipelineConfig, QuantizationSetting, run_all, stock_rows, unit_scores, unit_trace, write_csv, write_json
 from .predict import PredictionTrace
 from .predictability import fano_solve
 from .quantize import quantize_with
@@ -131,7 +130,7 @@ def cmd_evaluate(args) -> int:
     row = [trace.stock_code, trace.model, *scores.values()]
     write_csv(args.out or sys.stdout, header, [row])
     if args.json:
-        write_json_mirror(Path(args.out).with_suffix(".json"), header, [row])
+        write_json(Path(args.out).with_suffix(".json"), [dict(zip(header, row))])
     return 0
 
 
@@ -171,7 +170,7 @@ def cmd_correlate(args) -> int:
             [[r["index"], r["count"], r["mean"], r["std"]] for r in table],
         )
     if args.json:
-        (out_dir / "correlate.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(out_dir / "correlate.json", result)
     print(f"wrote correlations for {len(rows)} stocks to {out_dir}", file=sys.stderr)
     return 0
 

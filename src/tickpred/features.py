@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, read_table
 from .pipeline import read_result
-from .stats import PRICE_BIN_EDGES, VOLATILITY_BIN_EDGES, anova_oneway, bin_feature, spearman
+from .stats import N_CATEGORIES, N_REGIONS, PRICE_BIN_EDGES, VOLATILITY_BIN_EDGES, anova_oneway, bin_feature, spearman
 
 FEATURE_HEADER = [
     "stock_code",
@@ -41,8 +41,6 @@ def load_metadata(path) -> dict[str, dict[str, float]]:
 
     Raises DataError naming the file and the stock when a value is not a number or out of range.
     """
-    from .stats import N_CATEGORIES, N_REGIONS
-
     table = read_table(path, {"stock_code": str, **METADATA_TYPES})
     rows = [dict(zip(table, values)) for values in zip(*table.values())]
     for row in rows:

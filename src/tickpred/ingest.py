@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, EmptyInputError, SchemaError, not_utf8, read_table
+from .errors import ENCODING, DataError, EmptyInputError, SchemaError, decode_input, read_table
 from .quantize import QuantizationScheme
 
 DEFAULT_MIN_LENGTH = 1000  # ticks; roughly a quarter trading day
@@ -113,12 +113,13 @@ class PriceSeries:
                 f.write(f"{t},{p}\n")
 
     @classmethod
-    def from_interchange(cls, path, stock_code: str | None = None) -> "PriceSeries":
+    def from_interchange(cls, path) -> "PriceSeries":
+        """The series of an interchange file, named after the file."""
         path = Path(path)
         table = read_table(path, {"epoch_seconds": int, "price_hundredths": int})
         epoch, prices = (np.asarray(table[k], dtype=np.int64) for k in ("epoch_seconds", "price_hundredths"))
         return cls(
-            stock_code=stock_code if stock_code is not None else path.stem,
+            stock_code=path.stem,
             epoch_seconds=epoch,
             prices_hundredths=prices,
             day_boundaries=_boundaries_from_epochs(epoch),
@@ -213,11 +214,8 @@ def parse_columns(source, schema: ColumnSchema) -> tuple[TickColumns, int]:
     other goes through the row parser. Both read a plain file to the same columns.
     """
     data, origin = _source_bytes(source)
-    try:
-        data.decode("utf-8")  # the whole text is checked before either parser reads a field, and not kept
-    except UnicodeDecodeError as exc:
-        raise not_utf8(origin, exc) from None
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")  # decodes as the row parser reads
+    decode_input(data, origin)  # the whole text is checked before either parser reads a field, and not kept
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding=ENCODING, newline="")  # decodes as the row parser reads
     header_line = lines.readline()
     if not header_line.strip():
         raise EmptyInputError(f"{origin}: empty input")

@@ -301,9 +301,9 @@ def write_csv(target, header: list[str], rows: Iterable[Sequence]) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-def write_json_mirror(path, header: list[str], rows: list[list]) -> None:
-    records = [dict(zip(header, row)) for row in rows]
-    Path(path).write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def write_json(path, obj) -> None:
+    """Write ``obj`` as UTF-8 JSON, keys sorted, indented by 2, with a final line end."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def unit_trace(
@@ -536,8 +536,8 @@ def _previous_run(path: Path, key: dict[str, str]) -> tuple[dict, dict[str, str 
     is not a JSON object, is skipped, and so is a "done" line without a stock code.
     """
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError):
+        lines = read_text(path).splitlines()
+    except DataError:
         return {}, {}
     entries = []
     for line in lines:
@@ -615,9 +615,7 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
                 if isinstance(outcome, Exception):
                     raise outcome
                 all_series[code].to_interchange(out_dir / "series" / f"{code}.csv")
-                (out_dir / "per_stock" / f"{code}.json").write_text(
-                    json.dumps(outcome, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-                )
+                write_json(out_dir / "per_stock" / f"{code}.json", outcome)
             except Exception as exc:  # per-stock isolation: one bad stock cannot stop a run
                 print(record(code, "failed", f"{type(exc).__name__}: {exc}"), file=log, flush=True)
                 return
@@ -689,7 +687,7 @@ def _write_reports(out_dir: Path, config: PipelineConfig, results: dict[str, dic
         write_csv(path, header, values)
         written.add(path)
         if json_mirror and name.startswith("reports/"):
-            write_json_mirror(path.with_suffix(".json"), header, values)
+            write_json(path.with_suffix(".json"), [dict(zip(header, row)) for row in values])
             written.add(path.with_suffix(".json"))
     # reports/ and plots/ hold only this run's tables: none of a setting no longer configured, no stale mirror
     for path in [*(out_dir / "reports").rglob("*"), *(out_dir / "plots").rglob("*")]:

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 
@@ -37,6 +38,8 @@ def test_load_metadata_validates_ranges(tmp_path):
     good.write_text("stock_code,life,scale,category,region\nA,10,500,20,32\n")
     meta = load_metadata(good)
     assert meta["A"]["category"] == 20
+    good.write_bytes(codecs.BOM_UTF8 + good.read_bytes())  # as Excel's "CSV UTF-8" saves it
+    assert load_metadata(good) == meta
 
     bad = tmp_path / "bad.csv"
     bad.write_text("stock_code,life,scale,category,region\nA,10,500,21,5\n")

@@ -104,6 +104,8 @@ def test_read_table_returns_columns(tmp_path):
     path.write_text('a,b,c\n1,x,y\n\n2,"q,r"\n')
     # a blank line is skipped; a short row reads None past its end
     assert read_table(path, {"a": int}) == {"a": [1, 2], "b": ["x", "q,r"], "c": ["y", None]}
+    path.write_text("k,a,b,a\nr,1,x,2\n")  # a repeated header name takes its last column
+    assert read_table(path, {"a": int}) == {"k": ["r"], "a": [2], "b": ["x"]}
 
 
 @pytest.mark.parametrize(
@@ -114,8 +116,18 @@ def test_read_table_returns_columns(tmp_path):
         ('a,b\n"1\n",2\n4,"5\n6"\n', "line 5 (4): b: invalid literal for int() with base 10: '5\\n6'"),
         # the first bad value in file order, and the row's first field as converted
         ("a,b\n07,x\ny,2\n", "line 2 (7): b: invalid literal for int() with base 10: 'x'"),
+        # a repeated header name is read from its last column, and so is its bad value
+        ("k,a,b,a\nr,1,2,3\ns,4,5,x\n", "line 3 (s): a: invalid literal for int() with base 10: 'x'"),
+        ("k,a,b,a\nr,1,2,3\ns,4,5\n", "line 3 (s): a: missing"),
     ],
-    ids=["short-row", "after-blank-lines", "quoted-line-ends", "file-order"],
+    ids=[
+        "short-row",
+        "after-blank-lines",
+        "quoted-line-ends",
+        "file-order",
+        "repeated-name",
+        "repeated-name-short-row",
+    ],
 )
 def test_read_table_names_the_line_of_the_first_bad_value(tmp_path, text, message):
     path = tmp_path / "t.csv"
@@ -304,7 +316,7 @@ _FALLBACK = {
 
 def _tick_file(ticks, layout, fallback):
     """The text of a tick file and its schema; ``fallback`` maps a row index to a ``_FALLBACK`` key."""
-    delimiter, line_end, order, extra, named, final_line_end = layout
+    delimiter, line_end, order, extra, named, final_line_end, bom = layout
     names = ["code", "stamp", "last"]
     lines = []
     for i, (code, day, second, hundredths, short_price) in enumerate(ticks):
@@ -321,7 +333,7 @@ def _tick_file(ticks, layout, fallback):
         row = [fields[j] for j in order if j < len(fields)] + ["7"] * extra
         lines.append(delimiter.join(row))
     header = delimiter.join([names[j] for j in order] + ["volume"] * extra)
-    text = line_end.join([header, *lines]) + (line_end if final_line_end else "")
+    text = ("\ufeff" if bom else "") + line_end.join([header, *lines]) + (line_end if final_line_end else "")
     if named:
         schema = ColumnSchema(code="code", time="stamp", price="last")
     else:
@@ -371,6 +383,7 @@ def _ticks_and_fallback(draw):
         st.integers(0, 1),  # a column the schema does not map
         st.booleans(),  # columns named in the schema, or numbered
         st.booleans(),  # a line end after the last row
+        st.booleans(),  # a leading byte-order mark, as Excel's "CSV UTF-8" writes
     ),
 )
 def test_plain_path_equals_row_parser(ticks_and_fallback, layout):
@@ -385,6 +398,8 @@ def test_plain_path_equals_row_parser(ticks_and_fallback, layout):
         rows_only = _outcome(text, schema)
     assert either == rows_only
     assert (taken[0] is not None) == (not fallback)
+    if text.startswith("\ufeff"):  # the file reads as it does without its byte-order mark
+        assert either == _outcome(text[1:], schema)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import json
 import os
@@ -47,6 +48,13 @@ def test_config_round_trip_through_text():
     ]
     for cfg in configs:
         assert PipelineConfig.from_text(cfg.to_text()) == cfg
+
+
+def test_config_file_reads_the_same_with_a_byte_order_mark(tmp_path):
+    config = PipelineConfig(inputs=("a.csv",), seed=3)
+    path = tmp_path / "run.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + config.to_text().encode("utf-8"))  # as Windows editors often save it
+    assert PipelineConfig.from_file(path) == config
 
 
 def test_config_parses_comments_and_blank_lines():
