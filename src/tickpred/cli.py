@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import estimate_entropy
-from .errors import ConfigError, DataError, read_table
+from .errors import ConfigError, DataError, int64, read_table
 from .features import CATEGORICAL, FEATURE_HEADER, QUANTITATIVE, correlate_features, load_metadata, load_per_stock_dir
 from .ingest import ColumnSchema, PriceSeries, load_series
 from .pipeline import PipelineConfig, QuantizationSetting, run_all, stock_rows, unit_scores, unit_trace, write_csv, write_json
@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_states(path) -> np.ndarray:
     """The ``state`` column of a states file."""
-    return np.asarray(read_table(path, {"state": int})["state"], dtype=np.int64)
+    return np.asarray(read_table(path, {"state": int64})["state"], dtype=np.int64)
 
 
 def _blank_or(kind):
@@ -119,7 +119,7 @@ def cmd_evaluate(args) -> int:
     if args.json and not args.out:
         raise ConfigError("--json writes a mirror of --out, so it needs --out")
     config, setting = _stage_config(args, [args.series])
-    table = read_table(args.trace, {"index": int, "predicted": int, "actual": int})
+    table = read_table(args.trace, {"index": int64, "predicted": int64, "actual": int64})
     index, predicted, actual = (np.asarray(table[k], dtype=np.int64) for k in ("index", "predicted", "actual"))
     series = PriceSeries.from_interchange(args.series)
     if index.min() < 0 or index.max() >= len(series):

@@ -49,6 +49,14 @@ def read_text(path) -> str:
     return decode_input(data, path)
 
 
+def int64(text: str) -> int:
+    """``int(text)`` for a column read into an int64 array; ValueError for a value outside int64."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text.strip()} is outside int64")
+    return value
+
+
 def read_table(path, types: dict[str, type]) -> dict[str, list]:
     """Columns of a CSV file read by ``read_text``, with a header row, keyed by column name in header order.
 

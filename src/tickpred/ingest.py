@@ -12,19 +12,12 @@ continuous sequence across its whole sample.
 
 Each file is read once into columns (``TickColumns``): its sorted stock
 codes, and per row an index into them, the epoch seconds and the price in
-hundredths. A plain file is parsed column-wise by numpy over its bytes:
-one with no ``"``, with ``\n`` or ``\r\n`` line ends, no blank line, every
-line as wide as the header, codes whose first and last bytes are printable
-ASCII, naive ``YYYY-MM-DD HH:MM:SS`` stamps (calendar dates from year
-0001, hours 00-23, minutes and seconds 00-59, checked by numpy) and
-prices of at most 13 integer digits and 2 decimals, all above 0. Every
-other file goes through the row parser (``csv``,
-``datetime.fromisoformat`` and an exact price pattern), which counts and
-skips malformed rows: offsets, fractions of a second, quotes, padding, a
-code that starts or ends with a non-ASCII character (a Chinese name, say)
-and malformed rows included. The columns, and so the series, are the same
-either way. ``load_series`` groups the files' columns into series with one
-stable sort.
+hundredths. A plain file (``_plain_columns`` states the rule) is parsed
+column-wise by numpy over its bytes. Every other file goes through the row
+parser (``csv``, ``datetime.fromisoformat`` and an exact price pattern),
+which counts and skips malformed rows. The columns, and so the series, are
+the same either way. ``load_series`` groups the files' columns into series
+with one stable sort.
 """
 
 from __future__ import annotations
@@ -41,13 +34,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ENCODING, DataError, EmptyInputError, SchemaError, decode_input, read_table
+from .errors import ENCODING, DataError, EmptyInputError, SchemaError, decode_input, int64, read_table
 from .quantize import QuantizationScheme
 
 DEFAULT_MIN_LENGTH = 1000  # ticks; roughly a quarter trading day
 DEFAULT_MIN_STATES = 10
 
-_PRICE_RE = re.compile(r"^(\d+)(?:\.(\d{1,2}))?$")
+_MAX_PRICE_DIGITS = 13  # integer digits; with 2 decimals, hundredths stay far inside int64
+_PRICE_RE = re.compile(rf"^(\d{{1,{_MAX_PRICE_DIGITS}}})(?:\.(\d{{1,2}}))?$", re.ASCII)
 _EPOCH_ORDINAL = datetime(1970, 1, 1).toordinal()
 
 Row = tuple[str, int, int]  # (stock_code, epoch_seconds, price_hundredths)
@@ -114,10 +108,14 @@ class PriceSeries:
 
     @classmethod
     def from_interchange(cls, path) -> "PriceSeries":
-        """The series of an interchange file, named after the file."""
+        """The series of an interchange file, named after the file; raises DataError where its time goes back."""
         path = Path(path)
-        table = read_table(path, {"epoch_seconds": int, "price_hundredths": int})
+        table = read_table(path, {"epoch_seconds": int64, "price_hundredths": int64})
         epoch, prices = (np.asarray(table[k], dtype=np.int64) for k in ("epoch_seconds", "price_hundredths"))
+        back = np.flatnonzero(np.diff(epoch) < 0)
+        if len(back):  # a stock's ticks are ordered by the local clock
+            i = int(back[0]) + 1
+            raise DataError(f"{path}: epoch_seconds goes back at data row {i + 1}: {epoch[i]} after {epoch[i - 1]}")
         return cls(
             stock_code=path.stem,
             epoch_seconds=epoch,
@@ -283,25 +281,27 @@ def _parse_rows(lines, delimiter: str, fields: tuple[int, int, int]) -> tuple[li
 _NL, _DOT, _ZERO = b"\n.0"
 _STAMP = b"0000-00-00 00:00:00"  # a 0 stands for any digit
 _YEAR_ONE = np.datetime64("0001-01-01", "s").view(np.int64)
-_MAX_PRICE_DIGITS = 13  # integer digits; with 2 decimals, hundredths stay far inside int64
 
 
 def _plain_columns(data: bytes, delimiter: str, width: int, fields: tuple[int, int, int]) -> TickColumns | None:
     r"""Columns of a plain tick file, read by numpy over its bytes; None when the file needs the row parser.
 
-    A file is plain when it has no ``"``, its line ends are ``\n`` or
-    ``\r\n``, every line after the header has the header's ``width`` fields
-    (so none is blank) and, in every row, the code is non-empty with a
-    printable ASCII byte at each end, the stamp is ``YYYY-MM-DD HH:MM:SS``
-    and the price matches ``\d{1,13}(\.\d{1,2})?`` and is above 0. numpy
-    reads the stamps and checks the calendar: a date from year 0001 on,
-    hours 00-23, minutes and seconds 00-59; year 0000, which numpy reads and
+    A file is plain when it has no ``"`` and no NUL, its line ends are ``\n``
+    or ``\r\n``, every line after the header has the header's ``width``
+    fields (so none is blank) and, in every row, the code is non-empty and
+    equals its ``str.strip()`` (the row parser's code rule, checked once per
+    distinct code), the stamp is ``YYYY-MM-DD HH:MM:SS`` and the price is
+    above 0 and matches ``_PRICE_RE`` with no padding: at most
+    ``_MAX_PRICE_DIGITS`` integer digits and 2 decimals. numpy reads
+    the stamps and checks the calendar: a date from year 0001 on, hours
+    00-23, minutes and seconds 00-59; year 0000, which numpy reads and
     ``datetime`` does not, is checked here. The row parser reads such a file
     to the same columns, with no malformed row.
     """
     header_end = data.find(b"\n")
     lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")  # a line end to the row parser
-    if b'"' in data or lone_cr or header_end < 0:
+    # numpy's S view drops a code's trailing NULs, which the row parser keeps
+    if b'"' in data or b"\0" in data or lone_cr or header_end < 0:
         return None
     if not data.endswith(b"\n"):
         data += b"\n"
@@ -323,11 +323,11 @@ def _plain_columns(data: bytes, delimiter: str, width: int, fields: tuple[int, i
 
     code_i, time_i, price_i = fields
     start, stop = span(code_i)
-    edges = np.concatenate((body[start], body[stop - 1]))  # printable ASCII: nothing for str.strip to remove
-    if np.any(stop <= start) or np.any((edges <= 32) | (edges >= 127)):
-        return None
     chars = _field_chars(body, start, stop - start)
     codes, code_index = np.unique(chars.view(f"S{chars.shape[1]}").ravel(), return_inverse=True)
+    codes = [c.decode("utf-8") for c in codes.tolist()]
+    if not all(code and code == code.strip() for code in codes):  # as the row parser keeps it
+        return None
 
     start, stop = span(time_i)
     if np.any(stop - start != len(_STAMP)):
@@ -366,13 +366,12 @@ def _plain_columns(data: bytes, delimiter: str, width: int, fields: tuple[int, i
     price *= 10 ** (2 - decimals)
     if np.any(price <= 0):
         return None
-    codes = [c.decode("utf-8") for c in codes.tolist()]
     return TickColumns(codes, code_index.astype(np.int64, copy=False), epoch, price)
 
 
 def _field_chars(body: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """The fields ``body[start:start + length]``, one row of bytes each, NUL past a field's end."""
-    width = int(length.max())
+    width = int(length.max(initial=1))  # one column at least, so that empty fields still view as strings
     chars = np.zeros((len(start), width), np.uint8)
     for k in range(width):  # a column at a time keeps the index arrays one row wide
         chars[:, k] = np.where(length > k, body.take(start + k, mode="clip"), 0)

@@ -625,7 +625,7 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
         tasks = cut_chunks([all_series[c] for c in pending], config.workers)
         parallel = config.workers > 1 and len(tasks) > 1
         interrupt = None
-        with ProcessPoolExecutor(max_workers=config.workers) if parallel else nullcontext() as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) if parallel else nullcontext() as pool:
             if parallel:  # pooled chunks are recorded as they finish
                 futures = {pool.submit(_chunk_outcomes, chunk, config): chunk for chunk in tasks}
                 jobs = ((futures[f], f.result) for f in as_completed(futures))

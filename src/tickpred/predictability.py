@@ -33,8 +33,10 @@ def fano_solve(s_bits: float, n_states: int) -> float:
     """Solve the bound relation for the accuracy upper bound.
 
     Out-of-range entropies are clamped rather than rejected: estimator noise
-    can push S slightly past log2(N).
+    can push S slightly past log2(N). A NaN entropy is a ValueError.
     """
+    if math.isnan(s_bits):
+        raise ValueError("entropy is NaN")
     if n_states < 1:
         raise ValueError(f"state count must be >= 1, got {n_states}")
     if n_states == 1:

@@ -265,6 +265,64 @@ def test_predictability_short_row_names_file_and_line(workspace, capsys):
     assert err.startswith("data error: entropy.csv: line 3") and "s_est" in err and "Traceback" not in err, err
 
 
+def test_predictability_nan_entropy_is_data_error(workspace, capsys):
+    Path("entropy.csv").write_text("stock_code,n,n_distinct,s_est\nA,40,5,nan\n")
+    assert main(["predictability", "--entropy-file", "entropy.csv", "--out", "p.csv"]) == 2
+    assert capsys.readouterr().err == "data error: entropy is NaN\n"
+    assert not Path("p.csv").exists()
+
+
+PAST_INT64 = "9" * 23
+
+
+@pytest.mark.parametrize(
+    "files, argv, where",
+    [
+        pytest.param(
+            {"series.csv": f"epoch_seconds,price_hundredths\n0,100\n1,{PAST_INT64}\n"},
+            ["quantize", "--input", "series.csv", "--setting", "T=0.01", "--out", "s.csv"],
+            "series.csv: line 3 (1): price_hundredths",
+            id="quantize",
+        ),
+        pytest.param(
+            {"s.csv": f"state\n1\n{PAST_INT64}\n"},
+            ["entropy", "--input", "s.csv"],
+            f"s.csv: line 3 ({PAST_INT64}): state",
+            id="entropy",
+        ),
+        pytest.param(
+            {"trace.csv": f"index,predicted,actual\n3,1,1\n4,{PAST_INT64},1\n", "short.csv": SHORT_SERIES},
+            ["evaluate", "--trace", "trace.csv", "--series", "short.csv", "--setting", "T=0.01"],
+            "trace.csv: line 3 (4): predicted",
+            id="evaluate",
+        ),
+    ],
+)
+def test_stage_table_integer_past_int64_is_data_error(workspace, capsys, files, argv, where):
+    for name, text in files.items():
+        Path(name).write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {where}: {PAST_INT64} is outside int64\n", err
+
+
+def test_quantize_series_going_back_in_time_is_data_error(workspace, capsys):
+    Path("series.csv").write_text("epoch_seconds,price_hundredths\n0,100\n86400,101\n5,102\n86405,103\n")
+    assert main(["quantize", "--input", "series.csv", "--setting", "T=0.01", "--out", "s.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: series.csv: epoch_seconds goes back at data row 3: 5 after 86400\n", err
+    assert not Path("s.csv").exists()
+
+
+def test_run_all_counts_a_price_past_int64_as_malformed(workspace):
+    with open("ticks.csv", "a", encoding="utf-8") as f:
+        f.write(f"000001,2021-01-05 15:00:00,{'9' * 20}\n")
+    Path("run.cfg").write_text("input = ticks.csv\nintervals = 0.05\nmin_length = 100\nmin_states = 5\ndk_epochs = 2\n")
+    assert main(["run-all", "--config", "run.cfg"]) == 0
+    header = json.loads(Path("out/manifest.jsonl").read_text().splitlines()[0])
+    assert header["malformed"] == {"ticks.csv": 1}
+
+
 @pytest.mark.parametrize("first", ["+5", "1e1", "7"])
 def test_states_file_without_header_is_data_error(workspace, capsys, first):
     Path("s.csv").write_text(f"{first}\n" + "".join(f"{s}\n" for s in [1, 2, 3, 1, 2, 3]))

@@ -142,7 +142,8 @@ def test_price_parsing_is_exact():
     assert parse_price_hundredths("18.6") == 1860
     assert parse_price_hundredths("18") == 1800
     assert parse_price_hundredths("0.07") == 7
-    for bad in ("18.605", "abc", "-1.00", "0.00", ""):
+    assert parse_price_hundredths("9" * 13 + ".99") == 10**15 - 1
+    for bad in ("18.605", "abc", "-1.00", "0.00", "", "1" * 14, "9" * 20, "١٢.٥"):  # ASCII digits only
         with pytest.raises(ValueError):
             parse_price_hundredths(bad)
 
@@ -303,11 +304,13 @@ _FALLBACK = {
     "two_points": lambda c, t, p: (c, t, p.split(".")[0] + ".1.2"),
     "zero_price": lambda c, t, p: (c, t, "0.00"),
     "fourteen_digits": lambda c, t, p: (c, t, "1" * 14),
+    "twenty_digits": lambda c, t, p: (c, t, "9" * 20),  # past int64: malformed, not an overflow
+    "arabic_indic_digits": lambda c, t, p: (c, t, "١٢.٥"),  # int() reads them; the price rule does not
     "quoted": lambda c, t, p: (f'"{c}"', t, p),
     "code_padded_before": lambda c, t, p: (f" {c}", t, p),
     "code_padded_after": lambda c, t, p: (f"{c} ", t, p),
-    "code_non_ascii_first": lambda c, t, p: (f"浦{c}", t, p),
-    "code_non_ascii_last": lambda c, t, p: (f"{c}股", t, p),
+    "code_ideographic_space": lambda c, t, p: (f"{c}\u3000", t, p),  # str.strip removes it
+    "code_nul": lambda c, t, p: (f"{c}\0", t, p),  # numpy's S view would drop it
     "padded": lambda c, t, p: (c, f"{t} ", f" {p}"),
     "short": lambda c, t, p: (c, t),
     "blank_line_before": lambda c, t, p: (c, t, p),
@@ -359,7 +362,7 @@ def _ticks_and_fallback(draw):
     ticks = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["000001", "600000", "B", "300750.SZ", "A股B"]),  # non-ASCII inside a code stays plain
+                st.sampled_from(["000001", "600000", "B", "300750.SZ", "A股B", "浦发银行", "股A"]),  # non-ASCII stays plain
                 st.dates(date(1, 1, 1), date(9999, 12, 31)),  # every year datetime reads, leap days too
                 st.integers(0, 86399),
                 st.integers(1, 10**8),
@@ -472,6 +475,13 @@ def test_interchange_round_trip(tmp_path):
     assert loaded.epoch_seconds.tolist() == series.epoch_seconds.tolist()
     assert loaded.prices_hundredths.tolist() == series.prices_hundredths.tolist()
     assert loaded.day_boundaries == series.day_boundaries
+
+
+def test_interchange_times_going_back_are_a_data_error(tmp_path):
+    path = tmp_path / "000001.csv"
+    path.write_text("epoch_seconds,price_hundredths\n0,100\n86400,101\n5,102\n86405,103\n")  # 2 dates out of order
+    with pytest.raises(DataError, match=r"000001\.csv: epoch_seconds goes back at data row 3: 5 after 86400"):
+        PriceSeries.from_interchange(path)
 
 
 @settings(max_examples=200, deadline=None)

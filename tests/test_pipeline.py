@@ -293,6 +293,23 @@ def _tree(root, subdirs=("reports", "plots", "per_stock")):
     return {p.relative_to(root).as_posix(): p.read_bytes() for d in subdirs for p in (root / d).rglob("*") if p.is_file()}
 
 
+class _RecordingPool(pipeline.ProcessPoolExecutor):
+    """A process pool that records each worker process it starts."""
+
+    started = []
+
+    def _spawn_process(self):
+        super()._spawn_process()
+        _RecordingPool.started.append(self)
+
+
+def test_pool_starts_no_more_workers_than_chunks(fixture_csv, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    run_all(_config(fixture_csv, tmp_path, workers=4, dk_epochs=2))  # 3 stocks: 3 chunks
+    assert 1 <= len(_RecordingPool.started) <= 3
+
+
 def test_run_all_worker_pool_matches_sequential(fixture_csv, tmp_path):
     seq_cfg = _config(fixture_csv, tmp_path, out="out_seq")
     par_cfg = _config(fixture_csv, tmp_path, out="out_par", workers=2)

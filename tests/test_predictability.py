@@ -30,6 +30,13 @@ def test_zero_states_rejected():
 def test_out_of_range_entropy_clamps():
     assert fano_solve(10.0, 4) == pytest.approx(0.25)
     assert fano_solve(-0.5, 4) == 1.0
+    assert fano_solve(math.inf, 4) == 0.25
+    assert fano_solve(-math.inf, 4) == 1.0
+
+
+def test_nan_entropy_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        fano_solve(math.nan, 5)
 
 
 def test_objective_endpoints():
