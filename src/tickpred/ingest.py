@@ -108,7 +108,8 @@ class PriceSeries:
 
     @classmethod
     def from_interchange(cls, path) -> "PriceSeries":
-        """The series of an interchange file, named after the file; raises DataError where its time goes back."""
+        """The series of an interchange file, named after the file; raises DataError where its time goes back
+        or a price is not positive."""
         path = Path(path)
         table = read_table(path, {"epoch_seconds": int64, "price_hundredths": int64})
         epoch, prices = (np.asarray(table[k], dtype=np.int64) for k in ("epoch_seconds", "price_hundredths"))
@@ -116,6 +117,10 @@ class PriceSeries:
         if len(back):  # a stock's ticks are ordered by the local clock
             i = int(back[0]) + 1
             raise DataError(f"{path}: epoch_seconds goes back at data row {i + 1}: {epoch[i]} after {epoch[i - 1]}")
+        bad = np.flatnonzero(prices <= 0)
+        if len(bad):  # the tick parsers take positive prices only
+            i = int(bad[0])
+            raise DataError(f"{path}: price_hundredths is not positive at data row {i + 1}: {prices[i]}")
         return cls(
             stock_code=path.stem,
             epoch_seconds=epoch,

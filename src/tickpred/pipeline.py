@@ -30,7 +30,7 @@ import platform
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
@@ -141,16 +141,14 @@ class PipelineConfig:
 
     def to_text(self) -> str:
         """One ``key = value`` line per field, in field order; ``None`` is an empty value."""
-        hints = get_type_hints(type(self))
         lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, hint in _config_fields():
+            value = getattr(self, name)
             if isinstance(value, tuple):
-                item = get_args(hints[f.name])[0]
-                text = ", ".join(_format_value(item, v) for v in value)
+                text = ", ".join(_format_value(get_args(hint)[0], v) for v in value)
             else:
-                text = "" if value is None else _format_value(hints[f.name], value)
-            lines.append(f"{_KEY_OF.get(f.name, f.name)} = {text}")
+                text = "" if value is None else _format_value(hint, value)
+            lines.append(f"{_KEY_OF.get(name, name)} = {text}")
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
@@ -183,23 +181,29 @@ class PipelineConfig:
                 raise ConfigError(f"config key {key} is given twice, on lines {line_of[key]} and {lineno}")
             raw[key], line_of[key] = value, lineno
 
-        hints = get_type_hints(cls)
-        keys = {_KEY_OF.get(f.name, f.name): f.name for f in fields(cls)}
+        keys = {_KEY_OF.get(name, name): (name, hint) for name, hint in _config_fields()}
         unknown = set(raw) - set(keys)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values = {}
-        for key, name in keys.items():
+        for key, (name, hint) in keys.items():
             text = raw.get(key, "")
             try:
-                if get_origin(hints[name]) is tuple and key in raw:
-                    item = get_args(hints[name])[0]
+                if get_origin(hint) is tuple and key in raw:
+                    item = get_args(hint)[0]
                     values[name] = tuple(_parse_value(item, t.strip()) for t in text.split(",") if t.strip())
                 elif text:
-                    values[name] = _parse_value(hints[name], text)
+                    values[name] = _parse_value(hint, text)
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from exc
         return cls(**values)
+
+
+@cache
+def _config_fields() -> tuple[tuple[str, object], ...]:
+    """The name and type of each ``PipelineConfig`` field, in field order, with the annotations resolved once."""
+    hints = get_type_hints(PipelineConfig)
+    return tuple((f.name, hints[f.name]) for f in fields(PipelineConfig))
 
 
 def _format_value(hint, value) -> str:

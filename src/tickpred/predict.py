@@ -15,6 +15,7 @@ beyond where testing starts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,11 @@ class PredictionTrace:
 GATE_WINDOW = 32
 
 
-def _sq_lengths(d: np.ndarray) -> np.ndarray:
-    """Squared length along the last axis. Prediction, the margin gates and
-    ``run_online`` all measure distance with this one expression, so that a
-    gate reads the same bits from any of them."""
-    return np.einsum("...k,...k->...", d, d)
+def _sq_lengths(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared length along the last axis, written into ``out`` when given.
+    Prediction, the margin gates and ``run_online`` all measure distance with
+    this one expression, so that a gate reads the same bits from any of them."""
+    return np.einsum("...k,...k->...", d, d, out=out)
 
 
 def _fire(zs: np.ndarray, zc: np.ndarray, c: int, i: int, j: int, d: np.ndarray, step: float) -> None:
@@ -257,18 +258,19 @@ class DiffusionKernelModel:
         """``predict`` then ``update`` on every tick from ``start`` on, with the
         tick's context the two states before it; the predicted states.
 
-        One row of distances from the context to every state gives the
-        prediction and also answers the update's gates, which move nothing
-        until one fires; after a fire the row is computed again. The negatives
-        of a run of ticks come from one draw, which numpy streams exactly as
-        one draw per tick. A tick that registers a vector drawn from the
-        generator cuts the run and goes through ``predict`` and ``update``
-        themselves, so the draws keep their order: the first sight of a state,
-        and a context whose members are not both registered yet. Both depend
-        only on the sequence, so the cuts are found before the loop. After
-        ``train(states[:start])`` only the first kind occurs: train registers
-        every state of day one and each tick registers its actual state, so
-        every context online can be anchored at the midpoint of its members.
+        One row of distances from the context to every state, kept in buffers
+        that a run of ticks reuses, gives the prediction and also answers the
+        update's gates, which move nothing until one fires; after a fire the
+        row is computed again. The negatives of a run of ticks come from one
+        draw, which numpy streams exactly as one draw per tick. A tick that
+        registers a vector drawn from the generator cuts the run and goes
+        through ``predict`` and ``update`` themselves, so the draws keep their
+        order: the first sight of a state, and a context whose members are not
+        both registered yet. Both depend only on the sequence, so the cuts are
+        found before the loop. After ``train(states[:start])`` only the first
+        kind occurs: train registers every state of day one and each tick
+        registers its actual state, so every context online can be anchored
+        at the midpoint of its members.
         """
         seq = state_array(states).tolist()
         if not 2 <= start <= len(seq):
@@ -292,43 +294,69 @@ class DiffusionKernelModel:
         return predicted
 
     def _fused_run(self, seq: list[int], t0: int, t1: int, out: np.ndarray) -> None:
-        """Ticks t0..t1-1 of ``run_online``, none of which registers a drawn vector."""
+        """Ticks t0..t1-1 of ``run_online``, none of which registers a drawn vector.
+
+        The run works on a copy of the state table in state-id order, written
+        back at its end, so the first minimum of a distance row is the
+        prediction with ties going to the smallest id. Each tick writes its
+        context minus every state into one buffer and the squared lengths of
+        the buffer's rows into one distance row, and reads the distances its
+        gates compare once, as Python floats. A fire steps the context, the
+        positive and the negative in place from the buffer's rows, the bits of
+        ``zc[c] - zs[[i, j]]``; the buffer and the row are then computed again.
+        """
         if t0 >= t1:
             return
-        zs, n, rows, counts = self._zs.data, self._zs.n, self.state_rows, self.obs_counts
-        k, margin, step = self.negatives_per_step, self.margin, 2.0 * self._online_rate
-        pos = [rows[s] for s in seq[t0:t1]]
+        n, k = self._zs.n, self.negatives_per_step
+        margin, step = float(self.margin), 2.0 * self._online_rate
+        ids, rows = sorted(self._state_ids), self.state_rows
+        order = np.argsort(self._state_ids)  # the registration row of each id-order row
+        zs = self._zs.view()[order]
+        at = np.empty(n, dtype=np.int64)  # the id-order row of each registration row
+        at[order] = np.arange(n)
         gated = n >= 2 and k > 0  # as in _sweep, which draws nothing otherwise
-        if gated:
+        if gated:  # the id-order rows of each tick's positive, then of its negatives
+            pos = np.array([rows[s] for s in seq[t0:t1]])
             neg = self.rng.integers(0, n - 1, size=(t1 - t0) * k).reshape(-1, k)
-            neg += neg >= np.array(pos)[:, None]
-        checks = fires = 0
+            neg += neg >= pos[:, None]
+            gates = at[np.concatenate((pos[:, None], neg), axis=1)]
+        buf, dist = np.empty((n, self.dim)), np.empty(n)
+        contexts, zc = self.context_rows, self._zc.data
+        fires = 0
         for r in range(t1 - t0):
             t = t0 + r
-            c = self._anchored((seq[t - 2], seq[t - 1]))
-            dist = self._distances(c)
-            out[r] = self._nearest(dist)
-            counts[seq[t]] = counts.get(seq[t], 0) + 1
+            context = (seq[t - 2], seq[t - 1])
+            c = contexts.get(context)
+            if c is None:  # anchored at the midpoint of its members, as in _anchored
+                c = self._ensure_context(context, 0.5 * (zs[at[rows[context[0]]]] + zs[at[rows[context[1]]]]))
+                zc = self._zc.data
+            np.subtract(zc[c], zs, out=buf)
+            _sq_lengths(buf, out=dist)
+            nearest = dist.argmin()
+            if dist[nearest] != dist[nearest]:  # argmin's first NaN, where predict's _nearest raises too
+                raise ValueError(f"a distance is NaN at tick {t}: the embeddings overflowed")
+            out[r] = ids[nearest]
             if not gated:
                 continue
-            i, js, p = pos[r], neg[r], 0
-            while True:
-                held = dist[js[p:]] - dist[i] >= margin
-                f = int(held.argmin())
-                if held[f]:
-                    checks += k - p
-                    break
-                checks += f + 1
+            g = gates[r]
+            d = dist.take(g).tolist()
+            for q in range(1, k + 1):
+                if d[q] - d[0] >= margin:
+                    continue
                 fires += 1
-                j = js[p + f]
-                zc = self._zc.data  # an anchored context may have grown it
-                _fire(zs, zc, c, i, j, zc[c] - zs[[i, j]], step)
-                p += f + 1
-                if p == k:
-                    break
-                dist = self._distances(c)
-        self.gate_checks += checks
-        self.gate_fires += fires
+                i, j = int(g[0]), int(g[q])
+                _fire(zs, zc, c, i, j, (buf[i], buf[j]), step)
+                if q < k:
+                    np.subtract(zc[c], zs, out=buf)
+                    _sq_lengths(buf, out=dist)
+                    d = dist.take(g).tolist()
+        self._zs.data[order] = zs
+        counts = self.obs_counts
+        for s, m in Counter(seq[t0:t1]).items():
+            counts[s] = counts.get(s, 0) + m
+        if gated:
+            self.gate_checks += (t1 - t0) * k  # a gate that holds and a gate that fires are each checked once
+            self.gate_fires += fires
 
     # -- prediction --------------------------------------------------------
 

@@ -314,6 +314,14 @@ def test_quantize_series_going_back_in_time_is_data_error(workspace, capsys):
     assert not Path("s.csv").exists()
 
 
+def test_quantize_series_with_a_price_not_above_zero_is_data_error(workspace, capsys):
+    Path("series.csv").write_text("epoch_seconds,price_hundredths\n0,100\n1,-5\n2,0\n3,101\n")
+    assert main(["quantize", "--input", "series.csv", "--setting", "T=0.01", "--out", "s.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: series.csv: price_hundredths is not positive at data row 2: -5\n", err
+    assert not Path("s.csv").exists()
+
+
 def test_run_all_counts_a_price_past_int64_as_malformed(workspace):
     with open("ticks.csv", "a", encoding="utf-8") as f:
         f.write(f"000001,2021-01-05 15:00:00,{'9' * 20}\n")

@@ -484,6 +484,13 @@ def test_interchange_times_going_back_are_a_data_error(tmp_path):
         PriceSeries.from_interchange(path)
 
 
+def test_interchange_price_not_above_zero_is_a_data_error(tmp_path):
+    path = tmp_path / "000001.csv"
+    path.write_text("epoch_seconds,price_hundredths\n0,100\n1,-5\n2,0\n3,101\n")
+    with pytest.raises(DataError, match=r"000001\.csv: price_hundredths is not positive at data row 2: -5"):
+        PriceSeries.from_interchange(path)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     offset_minutes=st.integers(-12 * 60, 14 * 60),

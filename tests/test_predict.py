@@ -375,6 +375,24 @@ def test_sq_lengths_of_a_window_do_not_depend_on_the_batch_around_it():
         assert alone.tobytes() == np.ascontiguousarray(predict._sq_lengths(lockstep)[:, i].T).tobytes()
 
 
+def test_sq_lengths_of_a_distance_row_do_not_depend_on_out_or_row_order():
+    # run_online writes each tick's distance row through out= into a buffer it reuses, over the state rows in
+    # id order, and predict computes the row unbuffered over the rows in registration order; both must read
+    # the same bits, and numpy does not promise that einsum's sums ignore the output or the rows around them
+    rng = np.random.default_rng(2012)
+    for _ in range(2_000):
+        n, dim = int(rng.integers(1, 200)), int(rng.integers(2, 21))
+        rows = rng.uniform(-1.0, 1.0, (n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        order = rng.permutation(n)
+        plain = predict._sq_lengths(rows)
+        buf, dist = rng.uniform(-1.0, 1.0, (n, dim)), np.empty(n)
+        predict._sq_lengths(buf, out=dist)  # the buffers as a previous tick leaves them
+        np.copyto(buf, rows[order])
+        assert predict._sq_lengths(buf, out=dist) is dist
+        assert dist.tobytes() == plain[order].tobytes()
+        assert predict._sq_lengths(rows[order]).tobytes() == plain[order].tobytes()
+
+
 @st.composite
 def _dk_units(draw):
     """Units for one batch, mixed by length, state count, seed and negatives, some of which draw nothing."""
@@ -434,6 +452,34 @@ def test_dk_run_online_keeps_draw_order_when_a_context_cannot_be_anchored():
     predicted = _predict_then_update(oracle, seq, 2)
     assert fused.run_online(seq, 2).tolist() == predicted
     assert _dk_model_state(fused) == _dk_model_state(oracle)
+
+
+def test_dk_run_online_ties_go_to_the_smallest_id_whatever_the_row_order():
+    # run_online finds the nearest state on a copy of the state table in id order; here the rows are registered
+    # in descending id order and every distance ties, and at a learning rate of zero nothing moves
+    seq = [9, 7, 5, 3, 9, 5, 3, 7, 7, 3, 5]
+    models = []
+    for _ in range(2):
+        model = DiffusionKernelModel(dim=3, alpha0=0.0, negatives_per_step=3, seed=5)
+        for state in (9, 7, 5, 3):
+            model.set_state_embedding(state, [0.5, -0.25, 1.0])
+        models.append(model)
+    oracle, fused = models
+    predicted = _predict_then_update(oracle, seq, 2)
+    assert fused.run_online(seq, 2).tolist() == predicted == [3] * (len(seq) - 2)
+    assert _dk_model_state(fused) == _dk_model_state(oracle)
+
+
+def test_dk_run_online_refuses_nan_distances_as_predict_does():
+    # a finite but huge learning rate overflows the embeddings, and inf - inf makes a distance NaN
+    seq = [0, 1, 2, 0, 1, 2, 0, 2, 1, 0, 1, 2, 2, 1, 0] * 3
+    params = dict(dim=2, epochs=2, alpha0=1e308, negatives_per_step=2, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = DiffusionKernelModel(**params).train(seq[:6])
+        with pytest.raises(ValueError):
+            _predict_then_update(oracle, seq, 6)
+        with pytest.raises(ValueError, match="NaN"):
+            DiffusionKernelModel(**params).train(seq[:6]).run_online(seq, 6)
 
 
 def test_dk_run_online_rejects_a_start_without_context():
