@@ -22,7 +22,7 @@ from .ingest import ColumnSchema, PriceSeries, load_series
 from .pipeline import PipelineConfig, QuantizationSetting, run_all, stock_rows, unit_scores, unit_trace, write_csv, write_json
 from .predict import PredictionTrace
 from .predictability import fano_solve
-from .quantize import quantize_with
+from .quantize import count_distinct, quantize_with
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +88,7 @@ def cmd_entropy(args) -> int:
     est = estimate_entropy(states)
     code = Path(args.input).stem
     header = ["stock_code", "n", "n_distinct", "s_est"]
-    row = [code, est.n, int(len(np.unique(states))), est.s_est]
+    row = [code, est.n, count_distinct(states), est.s_est]
     if args.nats:
         header.append("s_est_nats")
         row.append(est.s_est_nats)

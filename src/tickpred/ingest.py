@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ENCODING, DataError, EmptyInputError, SchemaError, decode_input, int64, read_table
-from .quantize import QuantizationScheme
+from .quantize import QuantizationScheme, count_distinct
 
 DEFAULT_MIN_LENGTH = 1000  # ticks; roughly a quarter trading day
 DEFAULT_MIN_STATES = 10
@@ -440,7 +440,7 @@ def filter_series(
     n = len(series)
     if n < min_length:
         return FilterDecision(keep=False, reason=f"too short ({n} < {min_length} ticks)")
-    distinct = len(np.unique(scheme.states_of(series.prices_hundredths)))
+    distinct = count_distinct(scheme.states_of(series.prices_hundredths))
     if distinct < min_states:
         return FilterDecision(keep=False, reason=f"too few states ({distinct} < {min_states})")
     return FilterDecision(keep=True)

@@ -78,6 +78,13 @@ def state_array(states) -> np.ndarray:
     return np.asarray(getattr(states, "states", states), dtype=np.int64)
 
 
+def count_distinct(values) -> int:
+    """``len(np.unique(values))`` from one sort, without ``np.unique``'s hash path and the ``numpy.ma``
+    import that its plain form brings."""
+    v = np.sort(np.asarray(values), axis=None)
+    return int(len(v) and 1 + np.count_nonzero(v[1:] != v[:-1]))
+
+
 def fixed_interval_scheme(t_cny: float) -> QuantizationScheme:
     """Scheme with a fixed bucket width: a whole number of hundredths >= 0.01, else a ConfigError."""
     if t_cny < MIN_INTERVAL_CNY:
@@ -103,7 +110,7 @@ def fixed_count_scheme(train_prices_hundredths: Sequence[int], sp: int) -> Quant
 def quantize_with(series, scheme: QuantizationScheme) -> QuantizedSequence:
     """Quantize a price series (or raw hundredths array) under an existing scheme."""
     states = scheme.states_of(getattr(series, "prices_hundredths", series))
-    return QuantizedSequence(states=states, scheme=scheme, n_distinct=int(len(np.unique(states))))
+    return QuantizedSequence(states=states, scheme=scheme, n_distinct=count_distinct(states))
 
 
 def quantize_fixed(series, t_cny: float) -> QuantizedSequence:

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -155,6 +156,61 @@ def test_mc_vectorised_matches_oracle_on_long_sequences(source):
         seq = np.random.default_rng(6).integers(0, 300, 6_000)
     trace = run_protocol(seq, [0, 500], "mc")
     assert trace.predicted.tobytes() == _oracle_trace(seq.tolist(), 500).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 299), st.integers(0, 299)), min_size=1, max_size=60),
+    n_ids=st.sampled_from([1, 2, 5, 300]),
+    picks=st.lists(st.integers(0, 10**6), max_size=12),
+)
+@example(pairs=[(0, 0)], n_ids=1, picks=[0])  # query row 0: no earlier row
+@example(pairs=[(299, 7), (1, 2), (299, 7), (9, 1), (299, 3)], n_ids=300, picks=[1, 3, 2, 4, 0])
+# 4 query rows of a key with 5 next states: 20 visits over 5 rows, so _mode_before takes the running maximum
+@example(pairs=[(0, 4), (0, 3), (0, 2), (0, 1), (0, 0)], n_ids=300, picks=[4, 3, 2, 1])
+def test_mode_before_matches_running_mode(pairs, n_ids, picks):
+    # 300 ids put the (key, next) codes past 16 bits, off the radix sort; keys 1 and 9 above have one row each
+    key, nxt = (np.array(column, dtype=np.int64) % n_ids for column in zip(*pairs))
+    rows = np.array([p % len(key) for p in picks], dtype=np.int64)
+    expected = predict._running_mode(key, nxt, n_ids)[rows]
+    assert predict._mode_before(key, nxt, n_ids, rows).tolist() == expected.tolist()
+    expected = predict._running_mode(np.zeros_like(key), nxt, n_ids)[rows]
+    assert predict._global_mode_before(nxt, n_ids, rows).tolist() == expected.tolist()
+
+
+def test_mc_falls_back_to_the_last_state_then_to_any_on_day_two():
+    # day two brings states 2, 5, 6 and 7 and pair contexts day one never saw
+    seq = [0, 1, 0, 1, 0, 1, 0, 2, 0, 5, 1, 6, 7, 6, 7, 1, 0]
+    with (
+        mock.patch.object(predict, "_mode_before", wraps=predict._mode_before) as last,
+        mock.patch.object(predict, "_global_mode_before", wraps=predict._global_mode_before) as every,
+    ):
+        trace = run_protocol(seq, [0, 6], "mc")
+    last_rows, every_rows = last.call_args.args[3], every.call_args.args[2]
+    assert len(every_rows) and set(every_rows) < set(last_rows)  # some rows fall through both
+    assert trace.predicted.tobytes() == _oracle_trace(seq, 6).tobytes()
+
+
+@pytest.mark.parametrize("shape", ["trend", "star"])
+def test_mc_fallbacks_stay_linear_when_many_states_are_new_online(shape):
+    # trend: a drift through ~1.2k levels, so each new high is a new last state and falls back to the
+    # mode over all earlier rows, which have nearly every level as next state. star: 0 between ~1.5k
+    # new states, so each (k, 0) is a new pair context and falls back to state 0, which has ~1.5k next
+    # states. tracemalloc (numpy 2.4) read peaks of 0.3 and 0.5 MB here. Visiting every next state of
+    # the key at every such row read 55 MB (trend) and 90 MB (star).
+    if shape == "trend":
+        seq = np.cumsum(np.where(np.random.default_rng(7).random(3_000) < 0.7, 1, -1))
+    else:
+        seq = np.zeros(3_000, dtype=np.int64)
+        seq[1::2] = np.arange(1, 1_501)
+    tracemalloc.start()
+    try:
+        trace = run_protocol(seq, [0, 10], "mc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert trace.predicted.tobytes() == _oracle_trace(seq.tolist(), 10).tobytes()
 
 
 def test_mc_rejects_sequences_past_its_int64_limit():
@@ -476,7 +532,7 @@ def test_dk_run_online_refuses_nan_distances_as_predict_does():
     params = dict(dim=2, epochs=2, alpha0=1e308, negatives_per_step=2, seed=1)
     with np.errstate(over="ignore", invalid="ignore"):
         oracle = DiffusionKernelModel(**params).train(seq[:6])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="NaN"):
             _predict_then_update(oracle, seq, 6)
         with pytest.raises(ValueError, match="NaN"):
             DiffusionKernelModel(**params).train(seq[:6]).run_online(seq, 6)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tickpred.quantize import (
+    count_distinct,
     fixed_count_scheme,
     fixed_interval_scheme,
     quantize_fixed,
@@ -18,6 +21,15 @@ def test_fixed_interval_is_floor_division():
 def test_constant_series_has_one_state():
     seq = quantize_fixed(np.full(10, 1023, dtype=np.int64), 0.05)
     assert seq.n_distinct == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3) | st.integers(-(2**62), 2**62), max_size=40))
+@example([])
+def test_count_distinct_matches_unique(values):
+    # empty, negative and sparse ids
+    x = np.array(values, dtype=np.int64)
+    assert count_distinct(x) == len(np.unique(x))
 
 
 def test_interval_below_precision_rejected():
