@@ -275,7 +275,8 @@ def _lpnf_over_tree(sa: np.ndarray, sa_min: np.ndarray, lcp_min: np.ndarray, sid
     if not len(start):
         return best
     # jump tables over the climbing nodes and the parents they stop at; index k is a root
-    nodes = np.union1d(start, parent[start])
+    nodes = np.sort(np.concatenate((start, parent[start])))
+    nodes = nodes[_run_starts(nodes)]
     k = len(nodes)
     live = climbs[nodes]
     up = [np.full(k + 1, k, dtype=np.int32)]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import heapq
+import io
 import json
 import platform
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -305,9 +306,25 @@ def write_csv(target, header: list[str], rows: Iterable[Sequence]) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, obj) -> None:
     """Write ``obj`` as UTF-8 JSON, keys sorted, indented by 2, with a final line end."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(_json_text(obj), encoding="utf-8")
+
+
+def _write_if_changed(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` unless the file already holds exactly those bytes, so that its
+    mtime changes only with its contents."""
+    data = text.encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    path.write_bytes(data)
 
 
 def unit_trace(
@@ -511,8 +528,13 @@ def _series_digest(series: PriceSeries) -> str:
     return hashlib.sha256(series.epoch_seconds.tobytes() + series.prices_hundredths.tobytes()).hexdigest()
 
 
+@cache
 def code_digest() -> str:
-    """sha256 over the name and bytes of each of this package's source files, in name order."""
+    """sha256 over the name and bytes of each of this package's source files, in name order.
+
+    Taken once per process, at the first call, so every later run of the process records the source it
+    imported and ran, not an edit made on disk since.
+    """
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         source = path.read_bytes()
@@ -566,6 +588,10 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     the series digests, the header the malformed-row counts, and the reports come from the stored
     results. Otherwise it parses every file, and a finished stock is reused only when its parsed series
     has the digest its "done" line records under this config and code, and its series file is there.
+
+    A computed stock's series and per-stock files are always written, and the manifest is written anew
+    each run; a file under ``reports/`` or ``plots/`` is written only when its bytes change, so its mtime
+    marks a real change.
     """
     config.validate()
     out_dir = Path(config.output_dir)
@@ -688,10 +714,12 @@ def _write_reports(out_dir: Path, config: PipelineConfig, results: dict[str, dic
     for name, header, rows in tables:
         values = [[r[k] for k in header] for r in rows]
         path = out_dir / name
-        write_csv(path, header, values)
+        text = io.StringIO()
+        write_csv(text, header, values)
+        _write_if_changed(path, text.getvalue())
         written.add(path)
         if json_mirror and name.startswith("reports/"):
-            write_json(path.with_suffix(".json"), [dict(zip(header, row)) for row in values])
+            _write_if_changed(path.with_suffix(".json"), _json_text([dict(zip(header, row)) for row in values]))
             written.add(path.with_suffix(".json"))
     # reports/ and plots/ hold only this run's tables: none of a setting no longer configured, no stale mirror
     for path in [*(out_dir / "reports").rglob("*"), *(out_dir / "plots").rglob("*")]:

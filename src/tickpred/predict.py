@@ -303,7 +303,9 @@ class DiffusionKernelModel:
         the buffer's rows into one distance row, and reads the distances its
         gates compare once, as Python floats. A fire steps the context, the
         positive and the negative in place from the buffer's rows, the bits of
-        ``zc[c] - zs[[i, j]]``; the buffer and the row are then computed again.
+        ``zc[c] - zs[[i, j]]``; the buffer and the row are then computed again,
+        or, after the tick's last gate, at the next tick. A tick whose context
+        is the one the buffer holds, with no fire since, reuses the row.
         """
         if t0 >= t1:
             return
@@ -323,6 +325,7 @@ class DiffusionKernelModel:
         buf, dist = np.empty((n, self.dim)), np.empty(n)
         contexts, zc = self.context_rows, self._zc.data
         fires = 0
+        held = -1  # the context row whose distances buf and dist hold; -1 when a fire has moved a row since
         for r in range(t1 - t0):
             t = t0 + r
             context = (seq[t - 2], seq[t - 1])
@@ -330,8 +333,10 @@ class DiffusionKernelModel:
             if c is None:  # anchored at the midpoint of its members, as in _anchored
                 c = self._ensure_context(context, 0.5 * (zs[at[rows[context[0]]]] + zs[at[rows[context[1]]]]))
                 zc = self._zc.data
-            np.subtract(zc[c], zs, out=buf)
-            _sq_lengths(buf, out=dist)
+            if c != held:
+                np.subtract(zc[c], zs, out=buf)
+                _sq_lengths(buf, out=dist)
+                held = c
             nearest = dist.argmin()
             if dist[nearest] != dist[nearest]:  # argmin's first NaN, where predict's _nearest raises too
                 raise ValueError(f"a distance is NaN at tick {t}: the embeddings overflowed")
@@ -350,6 +355,8 @@ class DiffusionKernelModel:
                     np.subtract(zc[c], zs, out=buf)
                     _sq_lengths(buf, out=dist)
                     d = dist.take(g).tolist()
+                else:
+                    held = -1
         self._zs.data[order] = zs
         counts = self.obs_counts
         for s, m in Counter(seq[t0:t1]).items():

@@ -1,7 +1,11 @@
 """Match-length and entropy estimator tests against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,3 +236,16 @@ def test_shuffling_structure_does_not_decrease_entropy():
     for _ in range(3):
         shuffled = rng.permutation(seq)
         assert estimate_entropy(shuffled).s_est >= structured - 0.05
+
+
+def test_estimator_loads_no_numpy_ma():
+    # importing numpy.ma costs a forked pool worker about 14 ms, paid again on each cold run; numpy 1.x
+    # imports it with numpy itself, so only an import beyond what `import numpy` loaded counts
+    code = (
+        "import sys, numpy as np; loaded = 'numpy.ma' in sys.modules; from tickpred.entropy import estimate_entropy; "
+        "estimate_entropy(np.random.default_rng(5).integers(0, 4, 2_000)); print(loaded, 'numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded, after = out.stdout.split()
+    assert after == loaded

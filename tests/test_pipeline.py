@@ -645,18 +645,62 @@ def _outputs(out_dir):
     return _tree(out_dir, SUBDIRS), (Path(out_dir) / "manifest.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_rerun_over_identical_inputs_parses_nothing(fixture_csv, tmp_path, monkeypatch, workers):
+@pytest.mark.parametrize(
+    "workers, json_mirror",
+    [
+        pytest.param(1, False, id="1"),
+        pytest.param(2, False, id="2"),
+        pytest.param(1, True, id="1-json"),
+        pytest.param(2, True, id="2-json"),
+    ],
+)
+def test_rerun_over_identical_inputs_parses_nothing(fixture_csv, tmp_path, monkeypatch, workers, json_mirror):
     config = _config(fixture_csv, tmp_path, workers=workers, dk_epochs=2)
-    run_all(config)
+    run_all(config, json_mirror=json_mirror)
     before = _outputs(config.output_dir)
+    tables = [p for sub in ("reports", "plots") for p in (Path(config.output_dir) / sub).iterdir()]
+    for path in tables:
+        os.utime(path, ns=(0, 0))  # so a rewrite shows, however soon it comes
     monkeypatch.setattr(pipeline, "load_series", _no_parse)
     for parser in ("parse_columns", "_plain_columns", "_parse_rows"):
         monkeypatch.setattr(ingest, parser, _no_parse)
     computed = _record_computed(monkeypatch)
-    assert run_all(config).done == ["000001", "000002", "600000"]
+    assert run_all(config, json_mirror=json_mirror).done == ["000001", "000002", "600000"]
     assert computed == []
     assert _outputs(config.output_dir) == before  # the manifest too, line for line
+    assert [path.stat().st_mtime_ns for path in tables] == [0] * len(tables)  # no report or plot was rewritten
+
+
+def test_rerun_rewrites_a_report_edited_since(fixture_csv, tmp_path):
+    config = _config(fixture_csv, tmp_path, dk_epochs=2)
+    run_all(config, json_mirror=True)
+    before = _tree(config.output_dir)
+    out = Path(config.output_dir)
+    evaluation = out / "reports" / "evaluation.csv"
+    evaluation.write_bytes(evaluation.read_bytes()[:100])  # truncated
+    summary = out / "reports" / "summary.json"
+    summary.write_text(summary.read_text().replace("0", "1"))  # edited by hand, its size kept
+    plot = next((out / "plots").glob("acc_vs_rmse_*.csv"))
+    plot.write_bytes(plot.read_bytes() + b"\n")
+    run_all(config, json_mirror=True)
+    assert _tree(config.output_dir) == before
+
+
+def test_code_digest_reads_the_package_source_once_per_process(monkeypatch):
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(path):
+        reads.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    pipeline.code_digest.cache_clear()
+    digest = pipeline.code_digest()
+    assert sorted(reads) == sorted(p.name for p in Path(pipeline.__file__).parent.glob("*.py"))
+    reads.clear()
+    assert pipeline.code_digest() == digest
+    assert reads == []
 
 
 def test_rerun_that_parses_nothing_keeps_the_malformed_counts(fixture_csv, tmp_path, monkeypatch):

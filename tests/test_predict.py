@@ -406,6 +406,9 @@ def test_integers_draws_the_same_stream_in_one_call_or_many(bound):
 @example(day_one=[0, 1, 2, 0, 1], online=[2, 5, 0, 1, 5], seed=2, dim=3, negatives=0, margin=1.0)  # no negatives
 @example(day_one=[0, 1, 0, 1], online=[*range(4, 30)] * 2, seed=3, dim=5, negatives=5, margin=4.0)  # rows grow
 @example(day_one=[0, 1, 2, 3], online=[], seed=4, dim=2, negatives=5, margin=1.0)  # start == len(seq)
+@example(  # runs of one state, whose ticks reuse the distance row until a last gate fires
+    day_one=[0, 1, 2, 0, 1], online=[2] * 40 + [0] * 25 + [1, 2] * 5 + [1] * 30, seed=5, dim=3, negatives=4, margin=4.0
+)
 def test_dk_run_online_matches_predict_then_update(day_one, online, seed, dim, negatives, margin):
     seq = day_one + online
     params = dict(dim=dim, epochs=2, alpha0=0.3, margin=margin, negatives_per_step=negatives)
