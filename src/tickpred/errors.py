@@ -36,17 +36,19 @@ def decode_input(data: bytes, origin) -> str:
         ) from None
 
 
-def read_text(path) -> str:
-    """Contents of a UTF-8 text file, a leading byte-order mark dropped, line ends as stored.
-
-    Raises DataError naming the file when it cannot be read or is not UTF-8.
-    """
+def _read_bytes(path) -> bytes:
+    """Contents of a file; raises DataError naming the file when it cannot be read."""
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            return f.read()
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
-    return decode_input(data, path)
+
+
+def read_text(path) -> str:
+    """Contents of a UTF-8 text file, a leading byte-order mark dropped, line ends as stored; raises
+    DataError naming the file when it cannot be read or is not UTF-8."""
+    return decode_input(_read_bytes(path), path)
 
 
 def int64(text: str) -> int:
@@ -58,7 +60,7 @@ def int64(text: str) -> int:
 
 
 def read_table(path, types: dict[str, type]) -> dict[str, list]:
-    """Columns of a CSV file read by ``read_text``, with a header row, keyed by column name in header order.
+    """Columns of a CSV file, read as ``read_text`` reads it, with a header row, keyed by column name in header order.
 
     Blank lines are skipped. Each column named in ``types`` must be in the
     header, and its values are converted by its type (any callable of the
@@ -70,7 +72,9 @@ def read_table(path, types: dict[str, type]) -> dict[str, list]:
     earlier in ``types``) for the first value, row by row and in ``types``
     order, that is missing or does not convert.
     """
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    data = _read_bytes(path)
+    decode_input(data, path)  # the whole file is checked before a row is read, and its text is not kept
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding=ENCODING, newline=""))  # decoded as read
     header = next(reader, None)
     if not header:
         raise EmptyInputError(f"{path}: no header row")

@@ -139,6 +139,8 @@ class PipelineConfig:
             DiffusionKernelModel(**self.dk_params())
         except ValueError as exc:
             raise ConfigError(f"DK parameters: {exc}") from exc
+        if self.dk_alpha > 0.5:  # a fired step moves the positive state by 2 * dk_alpha of its gap to the context
+            raise ConfigError(f"dk_alpha must be <= 0.5, got {self.dk_alpha}: a fired step would overshoot its context")
 
     def to_text(self) -> str:
         """One ``key = value`` line per field, in field order; ``None`` is an empty value."""

@@ -15,7 +15,6 @@ beyond where testing starts.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +112,8 @@ class DiffusionKernelModel:
 
     ``predict`` and ``update`` take one tick each. ``run_online`` runs the
     online phase over a whole sequence with the same result, bit for bit and
-    draw for draw, from one distance pass per tick.
+    draw for draw, from one distance pass per tick. Both need each context's
+    members registered before it is first seen: train on day one first.
     """
 
     def __init__(
@@ -143,10 +143,8 @@ class DiffusionKernelModel:
         self.rng = np.random.default_rng(seed)
         self._zs = _Rows(dim)  # state embeddings, rows in registration order
         self._zc = _Rows(dim)  # context embeddings
-        self.state_rows: dict[int, int] = {}
+        self.state_rows: dict[int, int] = {}  # in row order: a state's row is the count registered before it
         self.context_rows: dict[Context, int] = {}
-        self._state_ids: list[int] = []  # state id of each row
-        self.obs_counts: dict[int, int] = {}
         self.gate_checks = 0
         self.gate_fires = 0
 
@@ -161,7 +159,6 @@ class DiffusionKernelModel:
         if row is None:
             row = self._zs.append(self.rng.uniform(-0.5, 0.5, self.dim))
             self.state_rows[state] = row
-            self._state_ids.append(state)
         return row
 
     def _ensure_context(self, context: Context, vector: np.ndarray | None = None) -> int:
@@ -219,14 +216,13 @@ class DiffusionKernelModel:
         self.gate_fires += fires
 
     def _register(self, states) -> tuple[np.ndarray, np.ndarray]:
-        """Register and count the states of a training sequence, then its contexts; the context row and
-        positive row of each training step, ``negatives_per_step`` steps per transition."""
+        """Register the states of a training sequence, then its contexts; the context row and positive
+        row of each training step, ``negatives_per_step`` steps per transition."""
         seq = state_array(states).tolist()
         if len(seq) < 3:
             raise ValueError(f"need at least 3 states to train, got {len(seq)}")
         for s in seq:
             self._ensure_state(s)
-            self.obs_counts[s] = self.obs_counts.get(s, 0) + 1
         k = self.negatives_per_step
         ctx = np.repeat([self._ensure_context(c) for c in zip(seq[:-2], seq[1:-1])], k)
         pos = np.repeat([self.state_rows[s] for s in seq[2:]], k)
@@ -245,7 +241,6 @@ class DiffusionKernelModel:
         context = (int(context[0]), int(context[1]))
         actual = int(actual)
         pos_row = self._ensure_state(actual)
-        self.obs_counts[actual] = self.obs_counts.get(actual, 0) + 1
         ctx_row = self._ensure_context(context)
         k = self.negatives_per_step
         self._sweep(np.full(k, ctx_row), np.full(k, pos_row), self._online_rate)
@@ -262,15 +257,13 @@ class DiffusionKernelModel:
         that a run of ticks reuses, gives the prediction and also answers the
         update's gates, which move nothing until one fires; after a fire the
         row is computed again. The negatives of a run of ticks come from one
-        draw, which numpy streams exactly as one draw per tick. A tick that
-        registers a vector drawn from the generator cuts the run and goes
-        through ``predict`` and ``update`` themselves, so the draws keep their
-        order: the first sight of a state, and a context whose members are not
-        both registered yet. Both depend only on the sequence, so the cuts are
-        found before the loop. After ``train(states[:start])`` only the first
-        kind occurs: train registers every state of day one and each tick
-        registers its actual state, so every context online can be anchored
-        at the midpoint of its members.
+        draw, which numpy streams exactly as one draw per tick. The first sight
+        of a state registers a vector drawn from the generator, so its tick
+        cuts the run and goes through ``predict`` and ``update`` themselves,
+        keeping the draws in order; the cuts depend only on the sequence and
+        are found before the loop. Each context needs a row or both members
+        registered, as ``predict`` does, which ``train(states[:start])`` gives;
+        otherwise ValueError names the missing state before anything changes.
         """
         seq = state_array(states).tolist()
         if not 2 <= start <= len(seq):
@@ -278,10 +271,12 @@ class DiffusionKernelModel:
         known = set(self.state_rows)
         cuts = []
         for t in range(start, len(seq)):
-            a, b, s = seq[t - 2], seq[t - 1], seq[t]
-            if s not in known or not ((a in known and b in known) or (a, b) in self.context_rows):
+            context, s = (seq[t - 2], seq[t - 1]), seq[t]
+            if context not in self.context_rows and not (context[0] in known and context[1] in known):
+                raise _unanchorable(context, known)
+            if s not in known:
                 cuts.append(t)
-            known.add(s)
+                known.add(s)
         predicted = np.empty(len(seq) - start, dtype=np.int64)
         t = start
         for cut in [*cuts, len(seq)]:
@@ -311,8 +306,8 @@ class DiffusionKernelModel:
             return
         n, k = self._zs.n, self.negatives_per_step
         margin, step = float(self.margin), 2.0 * self._online_rate
-        ids, rows = sorted(self._state_ids), self.state_rows
-        order = np.argsort(self._state_ids)  # the registration row of each id-order row
+        ids, rows = sorted(self.state_rows), self.state_rows
+        order = np.argsort(list(rows))  # the registration row of each id-order row
         zs = self._zs.view()[order]
         at = np.empty(n, dtype=np.int64)  # the id-order row of each registration row
         at[order] = np.arange(n)
@@ -338,7 +333,7 @@ class DiffusionKernelModel:
                 _sq_lengths(buf, out=dist)
                 held = c
             nearest = dist.argmin()
-            if dist[nearest] != dist[nearest]:  # argmin's first NaN, where predict's _nearest raises too
+            if dist[nearest] != dist[nearest]:  # argmin's first NaN, where predict raises too
                 raise ValueError(f"a distance is NaN at tick {t}: the embeddings overflowed")
             out[r] = ids[nearest]
             if not gated:
@@ -358,48 +353,42 @@ class DiffusionKernelModel:
                 else:
                     held = -1
         self._zs.data[order] = zs
-        counts = self.obs_counts
-        for s, m in Counter(seq[t0:t1]).items():
-            counts[s] = counts.get(s, 0) + m
         if gated:
             self.gate_checks += (t1 - t0) * k  # a gate that holds and a gate that fires are each checked once
             self.gate_fires += fires
 
     # -- prediction --------------------------------------------------------
 
-    def _anchored(self, context: Context) -> int | None:
+    def _anchored(self, context: Context) -> int:
         """The context's row; an unseen context is registered at the midpoint
-        of its members, and is None when a member is not registered."""
+        of its members, or refused, unchanged, when a member is not registered."""
         row = self.context_rows.get(context)
         if row is None:
             a = self.state_rows.get(context[0])
             b = self.state_rows.get(context[1])
             if a is None or b is None:
-                return None
+                raise _unanchorable(context, self.state_rows)
             row = self._ensure_context(context, 0.5 * (self._zs.data[a] + self._zs.data[b]))
         return row
 
-    def _distances(self, ctx_row: int) -> np.ndarray:
-        """Squared distance from context row ``ctx_row`` to every state, in row order."""
-        return _sq_lengths(self._zc.data[ctx_row] - self._zs.view())
-
-    def _nearest(self, dist: np.ndarray) -> int:
-        """The state of the nearest row, the smallest id on ties."""
-        tied = (dist == dist.min()).nonzero()[0]
-        if len(tied) == 1:
-            return self._state_ids[tied[0]]
-        if len(tied) == 0:  # the minimum is NaN, as run_online refuses it
-            raise ValueError("a distance is NaN: the embeddings overflowed")
-        return min(self._state_ids[r] for r in tied)
-
     def predict(self, context: Context) -> int:
+        """The state nearest the context, the smallest id on ties; an unseen context is anchored at the
+        midpoint of its members, or refused by a ValueError naming the one not registered, changing nothing."""
         if not self.state_rows:
             raise ValueError("model has no state embeddings")
-        ctx_row = self._anchored((int(context[0]), int(context[1])))
-        if ctx_row is None:
-            # nothing to anchor the context: the most observed state, the smallest on ties
-            return min(self.state_rows, key=lambda s: (-self.obs_counts.get(s, 0), s))
-        return self._nearest(self._distances(ctx_row))
+        row = self._anchored((int(context[0]), int(context[1])))  # before reading the table it may grow
+        dist = _sq_lengths(self._zc.data[row] - self._zs.view())
+        tied = (dist == dist.min()).nonzero()[0]  # rows, in registration order
+        if len(tied) == 0:  # the minimum is NaN, as run_online refuses it
+            raise ValueError("a distance is NaN: the embeddings overflowed")
+        ids = list(self.state_rows)  # the state of each row
+        return min(ids[r] for r in tied)
+
+
+def _unanchorable(context: Context, known) -> ValueError:
+    """The error for a context that has no row and a member not in ``known``, the first one named."""
+    missing = next(s for s in context if s not in known)
+    return ValueError(f"state {missing} of context {context} is not registered: train on day one first")
 
 
 def train_together(models: list[DiffusionKernelModel], day_ones: list) -> None:

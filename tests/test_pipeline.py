@@ -89,6 +89,20 @@ def test_config_validation():
         PipelineConfig(inputs=("x",), intervals=(0.01, 0.05, 0.010000001)).validate()
     with pytest.raises(ConfigError, match="rmse_against"):
         PipelineConfig(inputs=("x",), rmse_against="both").validate()
+    with pytest.raises(ConfigError, match="at least one quantization setting"):
+        PipelineConfig(inputs=("x",), intervals=()).validate()
+    with pytest.raises(ConfigError, match="state_count must be >= 2"):
+        PipelineConfig(inputs=("x",), state_count=1).validate()
+    with pytest.raises(ConfigError, match="volatility_n must be 'returns' or 'sequence', got 'both'"):
+        PipelineConfig(inputs=("x",), volatility_n="both").validate()
+    with pytest.raises(ConfigError, match="workers must be >= 1"):
+        PipelineConfig(inputs=("x",), workers=0).validate()
+    with pytest.raises(ConfigError, match="^config line 2: expected 'key = value', got 'seed 3'$"):
+        PipelineConfig.from_text("input = x.csv\nseed 3  # no equals sign\n")
+    # a fired step moves the positive state by 2 * dk_alpha of its gap to the context: at 0.5 onto it
+    PipelineConfig(inputs=("x",), dk_alpha=0.5).validate()
+    with pytest.raises(ConfigError, match="^dk_alpha must be <= 0.5, got 0.6: a fired step would overshoot its context$"):
+        PipelineConfig(inputs=("x",), dk_alpha=0.6).validate()
 
 
 def test_config_hash_ignores_output_location():
@@ -260,11 +274,38 @@ def test_run_all_records_drop_reasons(fixture_csv, tmp_path):
 
 
 def test_run_all_state_count_setting(fixture_csv, tmp_path):
-    config = _config(fixture_csv, tmp_path, out="out_sp", intervals=(), state_count=50)
+    # SP=N spreads its buckets over day one's price range, which a stock whose day one holds one price lacks
+    flat = tmp_path / "flat.csv"
+    stamps = [f"09:{30 + i // 20}:{i % 20 * 3:02d}" for i in range(120)]
+    day_one = [f"777777,2021-01-04 {t},5.00" for t in stamps]
+    day_two = [f"777777,2021-01-05 {t},{5 + i % 7 / 100:.2f}" for i, t in enumerate(stamps)]
+    flat.write_text(fixture_csv.read_text() + "\n".join(day_one + day_two) + "\n")
+    config = _config(flat, tmp_path, out="out_sp", intervals=(), state_count=50)
     manifest = run_all(config)
     assert manifest.failed == []
     pred = (Path(config.output_dir) / "reports" / "predictability.csv").read_text().strip().splitlines()
     assert pred[1].split(",")[1] == "SP=50"
+    drops = (Path(config.output_dir) / "reports" / "drops.csv").read_text().splitlines()
+    assert drops == ["stock_code,setting,reason", "777777,SP=50,training slice has a degenerate (constant) price range"]
+
+
+def _broken_trainer(models, day_ones):
+    raise RuntimeError("the batch trainer broke")
+
+
+def test_run_all_records_every_stock_of_a_failed_chunk_and_recomputes_them(fixture_csv, tmp_path, monkeypatch):
+    config = _config(fixture_csv, tmp_path)
+    reference = _config(fixture_csv, tmp_path, out="reference")
+    run_all(reference)
+    monkeypatch.setattr(pipeline, "train_together", _broken_trainer)  # the one chunk fails after every stock_part
+    manifest = run_all(config)
+    assert manifest.failed == ["000001", "000002", "600000"]
+    assert set(manifest.statuses.values()) == {("failed", "RuntimeError: the batch trainer broke")}
+    monkeypatch.undo()
+    computed = _record_computed(monkeypatch)
+    assert run_all(config).done == ["000001", "000002", "600000"]
+    assert computed == ["000001", "000002", "600000"]
+    assert _tree(config.output_dir) == _tree(reference.output_dir)
 
 
 def _stub_series(code, n_ticks):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -339,7 +340,6 @@ def _dk_model_state(model):
         {c: model.context_embedding(c).tobytes() for c in model.context_rows},
         dict(model.state_rows),
         dict(model.context_rows),
-        dict(model.obs_counts),
         (model.gate_checks, model.gate_fires),
         model.rng.bit_generator.state,
     )
@@ -497,20 +497,22 @@ def test_train_together_rejects_what_it_cannot_batch():
     train_together([], [])
 
 
-def test_dk_run_online_keeps_draw_order_when_a_context_cannot_be_anchored():
-    # without train, a context whose members are unregistered draws its own vector online;
-    # the fused loop hands such ticks to predict and update, so the stream stays in order
-    seq = [7, 8, 1, 2, 1, 2, 9, 1, 2]
-    models = []
-    for _ in range(2):
-        model = DiffusionKernelModel(dim=3, alpha0=0.3, negatives_per_step=3, seed=5)
-        model.set_state_embedding(1, [0.0, 0.0, 0.0])
-        model.set_state_embedding(2, [1.0, 0.0, 0.0])
-        models.append(model)
-    oracle, fused = models
-    predicted = _predict_then_update(oracle, seq, 2)
-    assert fused.run_online(seq, 2).tolist() == predicted
-    assert _dk_model_state(fused) == _dk_model_state(oracle)
+def test_dk_run_online_refuses_a_context_it_cannot_anchor_before_changing_anything():
+    # states 1 and 2 are registered and the context (7, 8) has a row, so the first tick could run; the
+    # second tick's context (8, 1) has no row and 8 is not registered, so no tick runs and nothing is drawn
+    model = DiffusionKernelModel(dim=3, alpha0=0.3, negatives_per_step=3, seed=5)
+    model.set_state_embedding(1, [0.0, 0.0, 0.0])
+    model.set_state_embedding(2, [1.0, 0.0, 0.0])
+    model.set_context_embedding((7, 8), [0.5, 0.0, 0.0])
+    before = _dk_model_state(model)
+    with pytest.raises(ValueError, match=r"^state 8 of context \(8, 1\) is not registered"):
+        model.run_online([7, 8, 1, 2, 1, 2], 2)
+    assert _dk_model_state(model) == before
+    with pytest.raises(ValueError, match=r"^state 9 of context \(9, 1\)"):  # at the first tick
+        model.run_online([9, 1, 2, 9, 1], 2)
+    assert _dk_model_state(model) == before
+    # a state first seen online is registered by its tick's update, so later contexts may hold it
+    assert model.run_online([1, 2, 9, 1, 9], 2).shape == (3,)
 
 
 def test_dk_run_online_ties_go_to_the_smallest_id_whatever_the_row_order():
@@ -548,11 +550,14 @@ def test_dk_run_online_rejects_a_start_without_context():
             model.run_online([1, 2, 3, 1], start)
 
 
-def test_dk_predict_single_state_model():
+def test_dk_single_state_model_predicts_it_and_refuses_an_unregistered_member():
     model = DiffusionKernelModel(dim=2, seed=0)
     model.set_state_embedding(9, [1.0, 1.0])
-    model.obs_counts[9] = 1
-    assert model.predict((0, 0)) == 9
+    before = _dk_model_state(model)
+    with pytest.raises(ValueError, match=r"^state 0 of context \(0, 9\) is not registered"):
+        model.predict((0, 9))
+    assert _dk_model_state(model) == before
+    assert model.predict((9, 9)) == 9
 
 
 def test_dk_predict_nearest_state():
@@ -581,20 +586,26 @@ def test_dk_unseen_context_uses_member_midpoint():
     assert (1, 2) in model.context_rows
 
 
-def test_dk_unseen_members_fall_back_to_global_mode():
+def test_dk_predict_refuses_an_unseen_context_with_one_member_unregistered():
     model = DiffusionKernelModel(dim=2, seed=0)
     model.set_state_embedding(4, [0.0, 0.0])
     model.set_state_embedding(6, [1.0, 0.0])
-    model.obs_counts.update({4: 3, 6: 5})
-    assert model.predict((100, 200)) == 6
+    before = _dk_model_state(model)
+    for context in ((4, 200), (200, 6)):
+        with pytest.raises(ValueError, match="^" + re.escape(f"state 200 of context {context} is not registered")):
+            model.predict(context)
+    assert _dk_model_state(model) == before
 
 
-def test_dk_unseen_members_without_observations_give_smallest_state():
-    # every count is 0, so "most observed, smallest on ties" is the smallest registered state
+def test_dk_predict_refuses_an_unseen_context_of_unregistered_members():
+    # the first missing member is named
     model = DiffusionKernelModel(dim=2, seed=0)
     model.set_state_embedding(7, [0.0, 0.0])
     model.set_state_embedding(3, [1.0, 0.0])
-    assert model.predict((100, 200)) == 3
+    before = _dk_model_state(model)
+    with pytest.raises(ValueError, match=r"^state 100 of context \(100, 200\) is not registered"):
+        model.predict((100, 200))
+    assert _dk_model_state(model) == before
 
 
 def test_dk_learns_deterministic_cycle():
