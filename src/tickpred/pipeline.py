@@ -210,7 +210,11 @@ def _config_fields() -> tuple[tuple[str, object], ...]:
 
 
 def _format_value(hint, value) -> str:
-    return f"{value:g}" if hint is float else str(value)
+    """A float as ``:g`` where that reads back exactly, else as its shortest exact repr; other values as ``str``."""
+    if hint is not float:
+        return str(value)
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
 
 
 def _parse_value(hint, text: str):

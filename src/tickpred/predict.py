@@ -533,10 +533,8 @@ def _mode_before(key: np.ndarray, nxt: np.ndarray, n_ids: int, rows: np.ndarray)
     ``searchsorted``, over the block index times ``len(key) + 1`` plus the row, which stays below 2**63
     for up to 2**31 rows. Its mode is the first maximum of ``count * n_ids + (n_ids - 1 - nxt)`` over
     those blocks, or -1 when every count is 0. Where those visits would outnumber the rows (many query
-    rows whose keys have many next states), the sort's counts go into ``_running_mode``'s running
-    maximum over the rows in (key, time) order instead, lifted by each key's first position plus the
-    key, so codes stay below ``(len(key) + n_ids + 1) * n_ids``. Either way time and memory stay linear
-    in the rows, past two sorts.
+    rows whose keys have many next states), it returns ``_running_mode``'s answer instead, so time and
+    memory stay linear in the rows, past two sorts.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
@@ -550,19 +548,8 @@ def _mode_before(key: np.ndarray, nxt: np.ndarray, n_ids: int, rows: np.ndarray)
     asked = key[rows]
     size = degree[asked]  # at least 1: the row's own block
     visits = size.sum()
-    if visits > m:  # _running_mode's running maximum instead, its counts from this sort
-        positions = np.arange(m)
-        count = np.empty(m, dtype=np.int64)
-        count[order] = positions + 1 - np.maximum.accumulate(np.where(new, positions, 0))
-        by_key = _stable_order(key)  # rows by (key, time)
-        k = key[by_key]
-        first = np.diff(k, prepend=-1) != 0  # first row of its key
-        lift = np.maximum.accumulate(np.where(first, positions, 0)) + k  # above every earlier key's codes
-        best = np.maximum.accumulate((count[by_key] + lift) * n_ids + (n_ids - 1 - nxt[by_key]))
-        at = np.empty(m, dtype=np.int64)
-        at[by_key] = positions
-        at = at[rows]  # the query rows' positions in (key, time) order
-        return np.where(first[at], -1, n_ids - 1 - best[at - 1] % n_ids)
+    if visits > m:
+        return _running_mode(key, nxt, n_ids)[rows]
     lo = (np.cumsum(degree) - degree)[asked]  # a query row's key owns blocks lo..lo+size-1
     before = np.cumsum(new, dtype=np.int64) * (m + 1) + order  # increasing: by block, then by row
     first = np.cumsum(size) - size
@@ -570,26 +557,6 @@ def _mode_before(key: np.ndarray, nxt: np.ndarray, n_ids: int, rows: np.ndarray)
     count = np.searchsorted(before, (b + 1) * (m + 1) + np.repeat(rows, size)) - starts[b]
     best = np.maximum.reduceat(count * n_ids + (n_ids - 1 - nxt[order[starts[b]]]), first)
     return np.where(best >= n_ids, n_ids - 1 - best % n_ids, -1)
-
-
-def _global_mode_before(nxt: np.ndarray, n_ids: int, rows: np.ndarray) -> np.ndarray:
-    """``_running_mode(np.zeros_like(nxt), nxt, n_ids)[rows]``: the modal ``nxt`` among all earlier rows.
-
-    One sort gives each row its count of its ``nxt`` so far, and the running maximum of
-    ``count * n_ids + (n_ids - 1 - nxt)`` in time order codes the mode so far, whatever the number
-    of query rows or states.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) == 0:
-        return rows
-    m = len(nxt)
-    positions = np.arange(m)
-    order = _stable_order(nxt)  # rows by (nxt, time)
-    new = np.diff(nxt[order], prepend=-1) != 0  # first row of its nxt
-    count = np.empty(m, dtype=np.int64)
-    count[order] = positions + 1 - np.maximum.accumulate(np.where(new, positions, 0))
-    best = np.maximum.accumulate(count * n_ids + (n_ids - 1 - nxt))
-    return np.where(rows > 0, n_ids - 1 - best[rows - 1] % n_ids, -1)
 
 
 def run_protocol(
@@ -605,7 +572,7 @@ def run_protocol(
     Deterministic given the seed: the diffusion-kernel model draws all its
     randomness from one generator seeded here, and its online phase is
     ``DiffusionKernelModel.run_online``. The Markov chain takes at most
-    2**31 states, so that its codes fit in int64.
+    2**31 states, so that ``_running_mode``'s codes fit in int64.
     """
     kind = model_kind.lower()
     if kind not in ("mc", "dk"):
@@ -626,10 +593,9 @@ def run_protocol(
         n = len(ids)
         prev2, prev1, nxt = dense[:-2], dense[1:-1], dense[2:]  # transition r happens at tick r + 2
         mode = _running_mode(prev2 * n + prev1, nxt, n)[start - 2 :]  # the pair context's
-        unseen = np.flatnonzero(mode < 0)  # where it is unseen, the last state's, then any state's
-        mode[unseen] = _mode_before(prev1, nxt, n, unseen + (start - 2))
-        unseen = np.flatnonzero(mode < 0)
-        mode[unseen] = _global_mode_before(nxt, n, unseen + (start - 2))
+        for key in (prev1, np.zeros_like(prev1)):  # where it is unseen, the last state's, then any state's
+            unseen = np.flatnonzero(mode < 0)
+            mode[unseen] = _mode_before(key, nxt, n, unseen + (start - 2))
         predicted = ids[mode]
     else:
         model = DiffusionKernelModel(seed=seed, **(dk_params or {})).train(seq[:start])

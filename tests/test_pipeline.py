@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tickpred import ingest, pipeline
@@ -40,14 +40,37 @@ def _config(fixture_csv, tmp_path, out="out", **overrides):
 # -- config ------------------------------------------------------------------
 
 
-def test_config_round_trip_through_text():
-    configs = [
-        PipelineConfig(inputs=("a.csv", "b.csv"), intervals=(0.01,), state_count=100, seed=3),
-        # count-only: the empty intervals line must come back as (), not the default
-        PipelineConfig(inputs=("x.csv",), intervals=(), state_count=20, price_column="last_price"),
-    ]
-    for cfg in configs:
-        assert PipelineConfig.from_text(cfg.to_text()) == cfg
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.sampled_from(
+        [
+            PipelineConfig(inputs=("a.csv", "b.csv"), state_count=100, seed=3),
+            PipelineConfig(inputs=("x.csv",), state_count=20, price_column="last_price"),
+        ]
+    ),
+    dk_alpha=_finite,
+    dk_margin=_finite,
+    intervals=st.lists(_finite, max_size=3).map(tuple),
+)
+# count-only: the empty intervals line must come back as (), not the default
+@example(base=PipelineConfig(inputs=("x.csv",), state_count=20), dk_alpha=0.1, dk_margin=1.0, intervals=())
+# 7 significant digits, past what :g keeps
+@example(base=PipelineConfig(inputs=("a.csv",)), dk_alpha=0.1234567, dk_margin=1.0, intervals=(12345.67,))
+def test_config_round_trip_through_text(base, dk_alpha, dk_margin, intervals):
+    cfg = dataclasses.replace(base, dk_alpha=dk_alpha, dk_margin=dk_margin, intervals=intervals)
+    assert PipelineConfig.from_text(cfg.to_text()) == cfg
+
+
+def test_config_hash_tells_apart_floats_that_agree_to_six_digits():
+    a, b = (PipelineConfig(inputs=("a.csv",), dk_alpha=alpha) for alpha in (0.1234567, 0.1234568))
+    assert a.content_hash() != b.content_hash()
+    assert "intervals = 12345.67\n" in PipelineConfig(intervals=(12345.67,)).to_text()
+    # floats that :g writes exactly keep their text, so the hashes of existing runs stand
+    text = PipelineConfig(intervals=(0.01, 0.05, 0.1)).to_text()
+    assert "intervals = 0.01, 0.05, 0.1\n" in text and "dk_alpha = 0.1\n" in text and "dk_margin = 1\n" in text
 
 
 def test_config_file_reads_the_same_with_a_byte_order_mark(tmp_path):

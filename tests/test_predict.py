@@ -167,27 +167,28 @@ def test_mc_vectorised_matches_oracle_on_long_sequences(source):
 )
 @example(pairs=[(0, 0)], n_ids=1, picks=[0])  # query row 0: no earlier row
 @example(pairs=[(299, 7), (1, 2), (299, 7), (9, 1), (299, 3)], n_ids=300, picks=[1, 3, 2, 4, 0])
-# 4 query rows of a key with 5 next states: 20 visits over 5 rows, so _mode_before takes the running maximum
+# 4 query rows of a key with 5 next states: 20 visits over 5 rows, so _mode_before takes _running_mode
 @example(pairs=[(0, 4), (0, 3), (0, 2), (0, 1), (0, 0)], n_ids=300, picks=[4, 3, 2, 1])
+# 2 query rows of a key with 2 next states: 4 visits over 6 rows, so _mode_before takes the binary search
+@example(pairs=[(0, 1), (0, 1), (0, 2), (0, 1), (0, 2), (0, 2)], n_ids=300, picks=[5, 3])
 def test_mode_before_matches_running_mode(pairs, n_ids, picks):
     # 300 ids put the (key, next) codes past 16 bits, off the radix sort; keys 1 and 9 above have one row each
     key, nxt = (np.array(column, dtype=np.int64) % n_ids for column in zip(*pairs))
     rows = np.array([p % len(key) for p in picks], dtype=np.int64)
-    expected = predict._running_mode(key, nxt, n_ids)[rows]
-    assert predict._mode_before(key, nxt, n_ids, rows).tolist() == expected.tolist()
-    expected = predict._running_mode(np.zeros_like(key), nxt, n_ids)[rows]
-    assert predict._global_mode_before(nxt, n_ids, rows).tolist() == expected.tolist()
+    for k in (key, np.zeros_like(key)):  # the last state's fallback and the global one
+        expected = predict._running_mode(k, nxt, n_ids)[rows]
+        assert predict._mode_before(k, nxt, n_ids, rows).tolist() == expected.tolist()
 
 
 def test_mc_falls_back_to_the_last_state_then_to_any_on_day_two():
     # day two brings states 2, 5, 6 and 7 and pair contexts day one never saw
     seq = [0, 1, 0, 1, 0, 1, 0, 2, 0, 5, 1, 6, 7, 6, 7, 1, 0]
-    with (
-        mock.patch.object(predict, "_mode_before", wraps=predict._mode_before) as last,
-        mock.patch.object(predict, "_global_mode_before", wraps=predict._global_mode_before) as every,
-    ):
+    with mock.patch.object(predict, "_mode_before", wraps=predict._mode_before) as fallback:
         trace = run_protocol(seq, [0, 6], "mc")
-    last_rows, every_rows = last.call_args.args[3], every.call_args.args[2]
+    assert fallback.call_count == 2
+    (last_key, _, _, last_rows), _ = fallback.call_args_list[0]
+    (every_key, _, _, every_rows), _ = fallback.call_args_list[1]
+    assert last_key.any() and not every_key.any()  # the last state, then one key for every row
     assert len(every_rows) and set(every_rows) < set(last_rows)  # some rows fall through both
     assert trace.predicted.tobytes() == _oracle_trace(seq, 6).tobytes()
 
