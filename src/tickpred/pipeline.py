@@ -27,6 +27,7 @@ import hashlib
 import heapq
 import io
 import json
+import os
 import platform
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
@@ -238,7 +239,7 @@ class QuantizationSetting:
 
     @property
     def slug(self) -> str:
-        return f"t{self.value:g}" if self.kind == "interval" else f"sp{int(self.value)}"
+        return f"t{_format_value(float, self.value)}" if self.kind == "interval" else f"sp{int(self.value)}"
 
     def scheme_for(self, series: PriceSeries) -> QuantizationScheme:
         if self.kind == "interval":
@@ -522,11 +523,18 @@ def summary_row(setting: str, model: str, preds: list[dict], rows: list[dict]) -
 
 
 def _histogram_rows(values: list[float], width: float) -> list[dict]:
+    """The rows of ``np.histogram(values, bins=n_bins, range=(0, n_bins * width))``, with ``n_bins`` reaching
+    ``max(values)``: its edges, and its counts by its rule, where a bin holds its left edge, the last bin its
+    right edge too, and a value outside the range is not counted."""
     if not values:
         return []
     top = max(values)
     n_bins = max(1, int(np.floor(top / width)) + 1)
-    counts, edges = np.histogram(values, bins=n_bins, range=(0.0, n_bins * width))
+    edges = np.linspace(0.0, n_bins * width, n_bins + 1)
+    values = np.asarray(values, dtype=float)
+    bins = np.searchsorted(edges, values, side="right") - 1
+    bins[values == edges[-1]] = n_bins - 1
+    counts = np.bincount(bins[(bins >= 0) & (bins < n_bins)], minlength=n_bins)
     return [dict(zip(HIST_HEADER, (edges[i], edges[i + 1], int(counts[i])))) for i in range(n_bins)]
 
 
@@ -584,6 +592,12 @@ def _previous_run(path: Path, key: dict[str, str]) -> tuple[dict, dict[str, str 
     return entries[0], {e["stock"]: e.get("digest") for e in done}
 
 
+def _file_names(directory: Path) -> set[str]:
+    """The names of the regular files in ``directory``, symbolic links to them included."""
+    with os.scandir(directory) as entries:
+        return {entry.name for entry in entries if entry.is_file()}
+
+
 def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     """Run the whole pipeline; returns the manifest with per-stock statuses.
 
@@ -610,8 +624,9 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     previous, done = _previous_run(manifest_path, key)
     results: dict[str, dict] = {}
     labels = [s.label for s in config.settings()]
+    files = {sub: _file_names(out_dir / sub) for sub in ("series", "per_stock")}
     for code in done:
-        if not (out_dir / "series" / f"{code}.csv").is_file():
+        if f"{code}.csv" not in files["series"]:
             continue  # a stock whose series file is gone is recomputed, so series/ holds every done stock
         try:
             results[code] = read_result(out_dir / "per_stock" / f"{code}.json", labels)
@@ -630,9 +645,9 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     pending = [code for code in sorted(digests) if code not in results]
     # before any manifest line goes out, so these directories hold only stocks recorded as done
     for sub, suffix in (("per_stock", ".json"), ("series", ".csv")):
-        for path in (out_dir / sub).glob(f"*{suffix}"):
-            if path.stem not in results:
-                path.unlink()
+        for name in files[sub]:
+            if name.endswith(suffix) and name[: -len(suffix)] not in results:
+                (out_dir / sub / name).unlink()
 
     with open(manifest_path, "w", encoding="utf-8", newline="") as log:
         # one line per stock as it is reused, finished or failed; a "done"
@@ -723,11 +738,13 @@ def _write_reports(out_dir: Path, config: PipelineConfig, results: dict[str, dic
         text = io.StringIO()
         write_csv(text, header, values)
         _write_if_changed(path, text.getvalue())
-        written.add(path)
+        written.add(str(path))
         if json_mirror and name.startswith("reports/"):
             _write_if_changed(path.with_suffix(".json"), _json_text([dict(zip(header, row)) for row in values]))
-            written.add(path.with_suffix(".json"))
+            written.add(str(path.with_suffix(".json")))
     # reports/ and plots/ hold only this run's tables: none of a setting no longer configured, no stale mirror
-    for path in [*(out_dir / "reports").rglob("*"), *(out_dir / "plots").rglob("*")]:
-        if path.is_file() and path not in written:
-            path.unlink()
+    for sub in ("reports", "plots"):
+        for folder, _, names in os.walk(out_dir / sub):
+            for path in (os.path.join(folder, name) for name in names):
+                if path not in written and os.path.isfile(path):
+                    os.unlink(path)

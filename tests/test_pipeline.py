@@ -136,11 +136,21 @@ def test_config_hash_ignores_output_location():
     assert a.content_hash() != c.content_hash()
 
 
-def test_setting_labels():
+def test_setting_labels(fixture_csv, tmp_path):
     assert QuantizationSetting("interval", 0.01).label == "T=0.01"
     assert QuantizationSetting("interval", 0.05).slug == "t0.05"
     assert QuantizationSetting("count", 100).label == "SP=100"
     assert QuantizationSetting("count", 100).slug == "sp100"
+    # the slugs of the settings in use keep their text, so their plot file names stand
+    assert [s.slug for s in PipelineConfig(intervals=(0.01, 0.05, 0.1), state_count=20).settings()] == [
+        "t0.01", "t0.05", "t0.1", "sp20"
+    ]
+    # two intervals that agree to 6 significant digits name plot files of their own
+    config = _config(fixture_csv, tmp_path, intervals=(12345.67, 12345.68))
+    assert [s.slug for s in config.settings()] == ["t12345.67", "t12345.68"]
+    run_all(config)
+    hists = sorted(p.name for p in (Path(config.output_dir) / "plots").glob("entropy_hist_*.csv"))
+    assert hists == ["entropy_hist_t12345.67.csv", "entropy_hist_t12345.68.csv"]
 
 
 def test_child_seed_is_stable_and_distinct():
@@ -191,6 +201,32 @@ def test_summary_row_single_stock_means_pass_through():
         "mean_rmse_ratio_permille": 2.0,
         "share_s_est_lt_2": 1.0,
     }
+
+
+def _numpy_histogram_rows(values, width):
+    """``_histogram_rows`` as ``np.histogram`` gives it: the reference its counting must match."""
+    if not values:
+        return []
+    n_bins = max(1, int(np.floor(max(values) / width)) + 1)
+    counts, edges = np.histogram(values, bins=n_bins, range=(0.0, n_bins * width))
+    return [{"bin_left": edges[i], "bin_right": edges[i + 1], "count": int(counts[i])} for i in range(n_bins)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.floats(-1.0, 30.0) | st.integers(0, 300).map(lambda k: k / 100), max_size=40),
+    width=st.sampled_from([0.1, 0.01]),
+)
+@example(values=[0.1, 0.2, 0.3, 0.7, 1.0], width=0.1)  # on bin edges
+@example(values=[0.05, 0.06, 0.07], width=0.01)  # on bin edges, the top one too
+@example(values=[0.0, 0.29, 0.3], width=0.1)  # at the top
+@example(values=[0.0, 0.0, 0.0], width=0.01)  # all zero
+@example(values=[1.23] * 5 + [0.5] * 3, width=0.1)  # repeated
+@example(values=[], width=0.1)
+def test_histogram_rows_count_as_numpy_histogram(values, width):
+    rows = pipeline._histogram_rows(values, width)
+    assert rows == _numpy_histogram_rows(values, width)
+    assert [type(r["bin_left"]) for r in rows] == [np.float64] * len(rows)  # the edges are written as numpy's
 
 
 def test_summary_row_two_stock_mean():
@@ -660,6 +696,22 @@ def test_rerun_keeps_only_this_runs_reports_and_plots(fixture_csv, tmp_path):
     fresh = dataclasses.replace(narrower, output_dir=str(tmp_path / "fresh"))
     run_all(fresh)
     assert _tree(config.output_dir, ("reports", "plots")) == _tree(fresh.output_dir, ("reports", "plots"))
+
+
+def test_rerun_removes_stray_files_nested_in_reports_and_plots(fixture_csv, tmp_path):
+    config = _config(fixture_csv, tmp_path)
+    run_all(config)
+    out = Path(config.output_dir)
+    before = _tree(out, ("reports", "plots"))
+    strays = [out / "reports" / "old" / "evaluation.csv", out / "plots" / "a" / "b" / "stray.txt", out / "plots" / ".x"]
+    others = [out / "notes.txt", out / "extra" / "keep.csv", out / "per_stock" / "sub" / "keep.json"]
+    for path in strays + others:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("x\n")
+    run_all(config)
+    assert not any(path.exists() for path in strays)
+    assert all(path.read_text() == "x\n" for path in others)
+    assert _tree(out, ("reports", "plots")) == before
 
 
 def test_per_stock_json_is_loadable(fixture_csv, tmp_path):
