@@ -2,7 +2,8 @@
 
 Writes a small synthetic tick file, runs the whole pipeline through the same
 entry point the ``tickpred run-all`` command uses, and tours the outputs.
-Running it twice is a no-op thanks to the manifest.
+Running it twice is a no-op: the second run finds every output as
+``outputs.sha256`` records it and writes nothing.
 """
 
 import json
@@ -59,6 +60,9 @@ with tempfile.TemporaryDirectory(prefix="tickpred_demo_") as tmp:
         print(f"  {model}: acc {rep['acc']:.4f}, rmse {rep['rmse']:.4f} CNY")
 
     print()
-    print("re-running with the same config reuses every stock via the manifest;")
-    print("outputs are byte-identical for identical config and seed.")
-    print(f"second run done: {len(run_all(config).done)} stocks reused")
+    print("re-running with the same config finds every output as outputs.sha256 records it,")
+    print("so it computes and writes nothing; outputs are byte-identical for identical config and seed.")
+    record = out / "outputs.sha256"
+    stamp = record.stat().st_mtime_ns
+    print(f"second run done: {len(run_all(config).done)} stocks reused, outputs.sha256 rewritten: {record.stat().st_mtime_ns != stamp}")
+    print(f"outputs.sha256 lists {len(record.read_text().splitlines())} files; `sha256sum -c outputs.sha256` checks them")

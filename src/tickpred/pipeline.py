@@ -16,8 +16,12 @@ digest (a sha256 of each input file's bytes, and of the Python and numpy
 versions the parsers rest on), the number of stocks parsed and the
 malformed rows skipped in each input file. A rerun whose input digest,
 config and source match a run that finished every stock it counted parses
-no file at all. Outputs are byte-identical for identical config and seed,
-whatever the worker count.
+no file at all. A run that finished every stock ends by writing
+``outputs.sha256``, the sha256 of each file of the manifest, ``per_stock/``,
+``reports/`` and ``plots/``; a rerun whose outputs still match it, and are
+the ones it would write, returns the recorded manifest and writes nothing.
+Outputs are byte-identical for identical config and seed, whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ SUMMARY_HEADER = [
 ]
 DROP_HEADER = ["stock_code", "setting", "reason"]
 HIST_HEADER = ["bin_left", "bin_right", "count"]
+
+RECORD = "outputs.sha256"  # in the output directory, after a run that finished every stock
 
 _KEY_OF = {"inputs": "input"}  # config-file key of a field, where it differs from the field name
 
@@ -598,20 +604,82 @@ def _file_names(directory: Path) -> set[str]:
         return {entry.name for entry in entries if entry.is_file()}
 
 
+def _entries_under(out_dir: Path, subs: Iterable[str]) -> list[str]:
+    """The path, relative to ``out_dir`` and ``/``-separated, of every entry that is not a directory under
+    each of ``subs``, nested ones included. A symbolic link is such an entry, whatever it points to, and is
+    not followed."""
+    names, folders = [], list(subs)
+    while folders:
+        folder = folders.pop()
+        with os.scandir(out_dir / folder) as entries:
+            for entry in entries:
+                (folders if entry.is_dir(follow_symlinks=False) else names).append(f"{folder}/{entry.name}")
+    return names
+
+
+def _sha256(path: str) -> str:
+    """Hex sha256 of an output file's bytes, read whole: ``file_sha256``'s chunked read costs about three times
+    as much on files of a few kB, as outputs are."""
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def _recorded_names(out_dir: Path) -> list[str]:
+    """What ``outputs.sha256`` lists, sorted: the manifest and every entry under ``per_stock/``, ``reports/`` and
+    ``plots/``. ``series/`` is left out: hashing it would cost about as much as hashing the inputs."""
+    return sorted(["manifest.jsonl", *_entries_under(out_dir, ("per_stock", "reports", "plots"))])
+
+
+def _write_record(out_dir: Path) -> None:
+    """Write ``outputs.sha256`` in ``sha256sum`` format: one ``<sha256>  <path>`` line per ``_recorded_names``
+    entry. An entry that cannot be read, such as a dangling link, leaves no record."""
+    path = out_dir / RECORD
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as record:
+            for name in _recorded_names(out_dir):
+                record.write(f"{_sha256(os.path.join(out_dir, name))}  {name}\n")
+    except OSError:
+        path.unlink(missing_ok=True)
+
+
+def _outputs_stand(out_dir: Path, done: Iterable[str], tables: list[str]) -> bool:
+    """Whether the outputs of the run that wrote ``outputs.sha256`` still stand: it lists exactly the
+    ``_recorded_names`` entries, each holds its recorded sha256, those under ``reports/`` and ``plots/`` are
+    ``tables``, and ``series/`` holds the series file of each stock in ``done`` and of no other."""
+    try:
+        listed = dict(line.split("  ", 1)[::-1] for line in (out_dir / RECORD).read_text("utf-8").splitlines())
+        series = {name for name in _file_names(out_dir / "series") if name.endswith(".csv")}
+        names = _recorded_names(out_dir)
+        return (
+            series == {f"{code}.csv" for code in done}
+            and listed.keys() == set(names)
+            and [n for n in names if n.startswith(("reports/", "plots/"))] == sorted(tables)
+            and all(_sha256(os.path.join(out_dir, name)) == listed[name] for name in names)
+        )
+    except (OSError, ValueError):  # no record, one torn or not text, or a file gone since
+        return False
+
+
 def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     """Run the whole pipeline; returns the manifest with per-stock statuses.
 
-    The tick files are parsed only when a stock needs computing. A run first hashes them into the input
-    digest. It parses nothing when the previous manifest's header holds this run's config hash, code
-    digest and input digest, that manifest has a "done" line for each of the stocks its header counts,
-    and each of them has its series file and a per-stock JSON that reads back: the "done" lines then give
-    the series digests, the header the malformed-row counts, and the reports come from the stored
-    results. Otherwise it parses every file, and a finished stock is reused only when its parsed series
-    has the digest its "done" line records under this config and code, and its series file is there.
+    A run first hashes the tick files into the input digest. It returns the previous manifest's statuses
+    and malformed-row counts, and writes no file at all, when the previous outputs still stand: the
+    manifest's header holds this run's config hash, code digest and input digest, the manifest has a
+    "done" line for each of the stocks its header counts, ``outputs.sha256`` lists every file of the
+    manifest, ``per_stock/``, ``reports/`` and ``plots/`` with the sha256 of its bytes, the tables there
+    are the ones this run would write, and ``series/`` holds the series file of each of those stocks.
 
-    A computed stock's series and per-stock files are always written, and the manifest is written anew
-    each run; a file under ``reports/`` or ``plots/`` is written only when its bytes change, so its mtime
-    marks a real change.
+    Any other run deletes ``outputs.sha256`` first. It parses the tick files only when a stock needs
+    computing: it parses nothing when the header and "done" lines are as above and each of those stocks
+    has its series file and a per-stock JSON that reads back. The "done" lines then give the series
+    digests, the header the malformed-row counts, and the reports come from the stored results.
+    Otherwise it parses every file, and a finished stock is reused only when its parsed series has the
+    digest its "done" line records under this config and code, and its series file is there. A computed
+    stock's series and per-stock files are always written, and the manifest is written anew, its stock
+    lines in code order once every stock is recorded; a file under ``reports/`` or ``plots/`` is written
+    only when its bytes change, so its mtime marks a real change. Last, a run that finished every stock
+    writes ``outputs.sha256``, so a kill leaves either no record or one that the outputs no longer match.
     """
     config.validate()
     out_dir = Path(config.output_dir)
@@ -622,8 +690,16 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
     manifest_path = out_dir / "manifest.jsonl"
     key = {"config_hash": manifest.config_hash, "code_digest": manifest.code_digest}  # what a reused stock needs
     previous, done = _previous_run(manifest_path, key)
+    settings = config.settings()
+    same_inputs = previous.get("input_digest") == manifest.input_digest and len(done) == previous.get("stocks")
+    if same_inputs and _outputs_stand(out_dir, done, table_names(settings, json_mirror)):
+        manifest.stocks, manifest.malformed = previous["stocks"], previous["malformed"]
+        manifest.statuses = dict.fromkeys(done, ("done", ""))
+        return manifest
+    (out_dir / RECORD).unlink(missing_ok=True)
+
     results: dict[str, dict] = {}
-    labels = [s.label for s in config.settings()]
+    labels = [s.label for s in settings]
     files = {sub: _file_names(out_dir / sub) for sub in ("series", "per_stock")}
     for code in done:
         if f"{code}.csv" not in files["series"]:
@@ -632,7 +708,7 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
             results[code] = read_result(out_dir / "per_stock" / f"{code}.json", labels)
         except DataError:
             pass  # a per-stock JSON that is gone, unreadable, not a result or short of a setting is recomputed
-    if previous.get("input_digest") == manifest.input_digest and len(results) == len(done) == previous.get("stocks"):
+    if same_inputs and len(results) == len(done):
         all_series, digests = {}, done  # the same files made every stock of that run: nothing to parse
         manifest.malformed = previous["malformed"]
     else:
@@ -649,16 +725,21 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
             if name.endswith(suffix) and name[: -len(suffix)] not in results:
                 (out_dir / sub / name).unlink()
 
+    header = json.dumps({k: v for k, v in asdict(manifest).items() if k != "statuses"})
+
+    def line(code: str) -> str:
+        status, reason = manifest.statuses[code]
+        return json.dumps({"stock": code, "status": status, "reason": reason, "digest": digests[code]})
+
     with open(manifest_path, "w", encoding="utf-8", newline="") as log:
         # one line per stock as it is reused, finished or failed; a "done"
         # line follows the writes of that stock's series and per-stock JSON
         def record(code: str, status: str, reason: str = "") -> str:
             manifest.statuses[code] = (status, reason)
-            return json.dumps({"stock": code, "status": status, "reason": reason, "digest": digests[code]})
+            return line(code)
 
         # the header and every reused stock go in one write, so a kill can lose
         # the previous run's "done" lines only inside that write
-        header = json.dumps({k: v for k, v in asdict(manifest).items() if k != "statuses"})
         print("\n".join([header, *(record(code, "done") for code in results)]), file=log, flush=True)
 
         def settle(code: str, outcome: dict | Exception) -> None:
@@ -699,9 +780,31 @@ def run_all(config: PipelineConfig, json_mirror: bool = False) -> RunManifest:
                     interrupt = interrupt or exc
         if interrupt is not None:
             raise interrupt
+    if list(manifest.statuses) != sorted(manifest.statuses):
+        # stocks recomputed after reused ones, or pooled chunks that finished out of order: the manifest is
+        # written again in code order, in one write as it began, so its bytes do not depend on that order
+        with open(manifest_path, "w", encoding="utf-8", newline="") as log:
+            print("\n".join([header, *map(line, sorted(manifest.statuses))]), file=log)
 
     _write_reports(out_dir, config, results, json_mirror)
+    if not manifest.failed:
+        _write_record(out_dir)
     return manifest
+
+
+def table_names(settings: list[QuantizationSetting], json_mirror: bool) -> list[str]:
+    """The files under ``reports/`` and ``plots/`` that a run under ``settings`` writes, relative to the output
+    directory and in the order written: the four reports, each followed by its JSON mirror under
+    ``json_mirror``, then for each setting its entropy histogram and accuracy-against-ceiling table and, for
+    each model, its RMSE histogram and accuracy-against-RMSE table."""
+    names = []
+    for report in ("evaluation", "predictability", "drops", "summary"):
+        names += [f"reports/{report}.csv", *([f"reports/{report}.json"] if json_mirror else [])]
+    for slug in (setting.slug for setting in settings):
+        names += [f"plots/entropy_hist_{slug}.csv", f"plots/acc_vs_pimax_{slug}.csv"]
+        for model in MODELS:
+            names += [f"plots/rmse_hist_{slug}_{model}.csv", f"plots/acc_vs_rmse_{slug}_{model}.csv"]
+    return names
 
 
 def _write_reports(out_dir: Path, config: PipelineConfig, results: dict[str, dict], json_mirror: bool) -> None:
@@ -709,42 +812,40 @@ def _write_reports(out_dir: Path, config: PipelineConfig, results: dict[str, dic
     units, evals = stock_rows(results, [s.label for s in settings])
     kept = [u for u in units if "reason" not in u]
     summary: list[dict] = []  # one row per (setting, model) group, filled below
+    # the header and rows of each CSV table, in table_names order
     tables = [
-        ("reports/evaluation.csv", EVAL_HEADER, evals),
-        ("reports/predictability.csv", PRED_HEADER, kept),
-        ("reports/drops.csv", DROP_HEADER, [u for u in units if "reason" in u]),
-        ("reports/summary.csv", SUMMARY_HEADER, summary),
+        (EVAL_HEADER, evals),
+        (PRED_HEADER, kept),
+        (DROP_HEADER, [u for u in units if "reason" in u]),
+        (SUMMARY_HEADER, summary),
     ]
     for setting in settings:
-        label, slug = setting.label, setting.slug
+        label = setting.label
         preds = [u for u in kept if u["setting"] == label]
         tables += [
-            (f"plots/entropy_hist_{slug}.csv", HIST_HEADER, _histogram_rows([r["s_est"] for r in preds], 0.1)),
-            (f"plots/acc_vs_pimax_{slug}.csv", ["stock_code", "pi_max", *(f"acc_{m}" for m in MODELS)], preds),
+            (HIST_HEADER, _histogram_rows([r["s_est"] for r in preds], 0.1)),
+            (["stock_code", "pi_max", *(f"acc_{m}" for m in MODELS)], preds),
         ]
         for model in MODELS:
             rows = [r for r in evals if r["setting"] == label and r["model"] == model]
             if rows:
                 summary.append(summary_row(label, model, preds, rows))
             tables += [
-                (f"plots/rmse_hist_{slug}_{model}.csv", HIST_HEADER, _histogram_rows([r["rmse"] for r in rows], 0.01)),
-                (f"plots/acc_vs_rmse_{slug}_{model}.csv", ["stock_code", "acc", "rmse"], rows),
+                (HIST_HEADER, _histogram_rows([r["rmse"] for r in rows], 0.01)),
+                (["stock_code", "acc", "rmse"], rows),
             ]
 
-    written = set()
-    for name, header, rows in tables:
+    names = table_names(settings, json_mirror)
+    for name, (header, rows) in zip([n for n in names if n.endswith(".csv")], tables, strict=True):
         values = [[r[k] for k in header] for r in rows]
-        path = out_dir / name
         text = io.StringIO()
         write_csv(text, header, values)
-        _write_if_changed(path, text.getvalue())
-        written.add(str(path))
+        _write_if_changed(out_dir / name, text.getvalue())
         if json_mirror and name.startswith("reports/"):
-            _write_if_changed(path.with_suffix(".json"), _json_text([dict(zip(header, row)) for row in values]))
-            written.add(str(path.with_suffix(".json")))
-    # reports/ and plots/ hold only this run's tables: none of a setting no longer configured, no stale mirror
-    for sub in ("reports", "plots"):
-        for folder, _, names in os.walk(out_dir / sub):
-            for path in (os.path.join(folder, name) for name in names):
-                if path not in written and os.path.isfile(path):
-                    os.unlink(path)
+            _write_if_changed(out_dir / f"{name[:-4]}.json", _json_text([dict(zip(header, row)) for row in values]))
+    # reports/ and plots/ hold only this run's tables: none of a setting no longer configured, no stale
+    # mirror, no stray link
+    written = set(names)
+    for name in _entries_under(out_dir, ("reports", "plots")):
+        if name not in written:
+            os.unlink(out_dir / name)

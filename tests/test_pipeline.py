@@ -1,5 +1,6 @@
 import codecs
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -418,6 +419,8 @@ def test_run_all_worker_pool_matches_sequential(fixture_csv, tmp_path):
     seq, par = _tree(seq_cfg.output_dir), _tree(par_cfg.output_dir)
     assert len(seq) == 4 + 2 * 6 + 3  # reports, plots per setting, per-stock JSON
     assert seq == par
+    # the manifest's stock lines are in code order, whichever chunk finished first, and so is outputs.sha256
+    assert _outputs(seq_cfg.output_dir) == _outputs(par_cfg.output_dir)
 
 
 def test_run_all_json_mirror_matches_reports(fixture_csv, tmp_path):
@@ -541,11 +544,12 @@ def test_interrupted_run_resumes(fixture_csv, tmp_path, monkeypatch, workers):
     assert _tree(config.output_dir) == _tree(reference.output_dir)
 
 
-@pytest.mark.parametrize("stage", ["reuse", "reports"])
+@pytest.mark.parametrize("stage", ["reuse", "reports", "record"])
 def test_interrupted_warm_rerun_keeps_finished_stocks(fixture_csv, tmp_path, monkeypatch, stage):
     config = _config(fixture_csv, tmp_path)
     run_all(config)
-    before = _tree(config.output_dir)
+    before, record = _tree(config.output_dir), _record(config.output_dir)
+    (Path(config.output_dir) / "outputs.sha256").unlink()  # so the rerun reads results back and renders the tables
     if stage == "reuse":  # a kill while the second finished stock's JSON is read back
         read_result = pipeline.read_result
 
@@ -555,17 +559,24 @@ def test_interrupted_warm_rerun_keeps_finished_stocks(fixture_csv, tmp_path, mon
             return read_result(path, labels)
 
         monkeypatch.setattr(pipeline, "read_result", interrupting_read)
-    else:
+    elif stage == "reports":
         monkeypatch.setattr(pipeline, "_write_reports", _interrupt)
+    else:  # a kill while outputs.sha256 is written, once the lines before reports/drops.csv are out
+        sha256 = pipeline._sha256
+        monkeypatch.setattr(pipeline, "_sha256", lambda path: _interrupt() if path.endswith("drops.csv") else sha256(path))
     with pytest.raises(KeyboardInterrupt):
         run_all(config)
     monkeypatch.undo()
     assert _done_lines(config.output_dir) == ["000001", "000002", "600000"]
+    if stage == "record":
+        torn = _record(config.output_dir)
+        assert torn is not None and record.startswith(torn) and torn != record
 
     computed = _record_computed(monkeypatch)
     assert run_all(config).done == ["000001", "000002", "600000"]
     assert computed == []
     assert _tree(config.output_dir) == before
+    assert _record(config.output_dir) == record
 
 
 @pytest.mark.parametrize("keep_lines, recomputed", [(0, ["000001", "000002", "600000"]), (2, ["000002", "600000"])])
@@ -714,6 +725,36 @@ def test_rerun_removes_stray_files_nested_in_reports_and_plots(fixture_csv, tmp_
     assert _tree(out, ("reports", "plots")) == before
 
 
+def test_rerun_removes_links_in_reports_and_plots_that_it_did_not_write(fixture_csv, tmp_path):
+    config = _config(fixture_csv, tmp_path, dk_epochs=2)
+    run_all(config)
+    out = Path(config.output_dir)
+    before = _outputs(out)
+    (out / "plots" / "a").mkdir()
+    links = {
+        out / "reports" / "gone.csv": tmp_path / "nowhere.csv",  # dangling
+        out / "plots" / "a" / "gone.csv": tmp_path / "nowhere.csv",  # dangling, nested
+        out / "plots" / "elsewhere": tmp_path,  # to a directory
+    }
+    for link, target in links.items():
+        link.symlink_to(target)
+    run_all(config)
+    assert [link for link in links if os.path.lexists(link)] == []
+    assert _outputs(out) == before
+
+
+def test_a_file_that_cannot_be_hashed_leaves_no_record(fixture_csv, tmp_path):
+    config = _config(fixture_csv, tmp_path, dk_epochs=2)
+    out = Path(config.output_dir)
+    (out / "per_stock").mkdir(parents=True)
+    (out / "per_stock" / "notes.txt").symlink_to(tmp_path / "nowhere.txt")  # a dangling link the run leaves alone
+    assert run_all(config).done == ["000001", "000002", "600000"]
+    assert _record(out) is None
+    (out / "per_stock" / "notes.txt").unlink()
+    run_all(config)
+    assert _record(out) is not None
+
+
 def test_per_stock_json_is_loadable(fixture_csv, tmp_path):
     config = _config(fixture_csv, tmp_path, out="out_json")
     run_all(config)
@@ -758,22 +799,29 @@ def _count_parses(monkeypatch):
 
 
 def _outputs(out_dir):
-    return _tree(out_dir, SUBDIRS), (Path(out_dir) / "manifest.jsonl").read_bytes()
+    """Every file under ``out_dir`` by relative path, with its bytes."""
+    return _tree(out_dir, (".",))
 
 
-@pytest.mark.parametrize(
-    "workers, json_mirror",
-    [
-        pytest.param(1, False, id="1"),
-        pytest.param(2, False, id="2"),
-        pytest.param(1, True, id="1-json"),
-        pytest.param(2, True, id="2-json"),
-    ],
-)
+WORKERS_AND_JSON = [
+    pytest.param(1, False, id="1"),
+    pytest.param(2, False, id="2"),
+    pytest.param(1, True, id="1-json"),
+    pytest.param(2, True, id="2-json"),
+]
+
+
+def _record(out_dir):
+    path = Path(out_dir) / "outputs.sha256"
+    return path.read_text() if path.exists() else None
+
+
+@pytest.mark.parametrize("workers, json_mirror", WORKERS_AND_JSON)
 def test_rerun_over_identical_inputs_parses_nothing(fixture_csv, tmp_path, monkeypatch, workers, json_mirror):
     config = _config(fixture_csv, tmp_path, workers=workers, dk_epochs=2)
     run_all(config, json_mirror=json_mirror)
     before = _outputs(config.output_dir)
+    (Path(config.output_dir) / "outputs.sha256").unlink()  # so the rerun reads results back and renders the tables
     tables = [p for sub in ("reports", "plots") for p in (Path(config.output_dir) / sub).iterdir()]
     for path in tables:
         os.utime(path, ns=(0, 0))  # so a rewrite shows, however soon it comes
@@ -783,8 +831,123 @@ def test_rerun_over_identical_inputs_parses_nothing(fixture_csv, tmp_path, monke
     computed = _record_computed(monkeypatch)
     assert run_all(config, json_mirror=json_mirror).done == ["000001", "000002", "600000"]
     assert computed == []
-    assert _outputs(config.output_dir) == before  # the manifest too, line for line
+    assert _outputs(config.output_dir) == before  # the manifest and outputs.sha256 too, line for line
     assert [path.stat().st_mtime_ns for path in tables] == [0] * len(tables)  # no report or plot was rewritten
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a rerun whose outputs stand got past its check")
+
+
+@pytest.mark.parametrize("workers, json_mirror", WORKERS_AND_JSON)
+def test_rerun_whose_outputs_stand_writes_nothing(fixture_csv, tmp_path, monkeypatch, workers, json_mirror):
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text(fixture_csv.read_text() + "600000,not-a-time,8.00\n")
+    config = _config(dirty, tmp_path, workers=workers, dk_epochs=2)
+    run_all(config, json_mirror=json_mirror)
+    out = Path(config.output_dir)
+    before = _outputs(out)
+    paths = [out, *out.rglob("*")]
+    for path in paths:
+        os.utime(path, ns=(0, 0))  # files and directories: a write, or a file made and removed, would show
+    monkeypatch.setattr(pipeline, "load_series", _no_parse)
+    for parser in ("parse_columns", "_plain_columns", "_parse_rows"):
+        monkeypatch.setattr(ingest, parser, _no_parse)
+    monkeypatch.setattr(pipeline, "read_result", _refuse)
+    monkeypatch.setattr(pipeline, "_write_reports", _refuse)
+    computed = _record_computed(monkeypatch)
+    manifest = run_all(config, json_mirror=json_mirror)
+    assert manifest.done == ["000001", "000002", "600000"] and manifest.failed == []
+    assert manifest.stocks == 3 and manifest.malformed == {str(dirty): 1}
+    assert computed == []
+    assert sorted([out, *out.rglob("*")]) == sorted(paths)
+    assert [path.stat().st_mtime_ns for path in paths] == [0] * len(paths)
+    assert _outputs(out) == before
+
+
+def _edit_in_place(path, old, new):
+    """Replace the first ``old`` in the file with ``new``, of the same length, so its size stays."""
+    assert len(old) == len(new)
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
+
+
+STALE_OUTPUTS = [
+    "per-stock JSON edited", "report edited", "nested stray", "record deleted", "record torn", "json on", "json off",
+    "series deleted", "failed stock",
+]
+
+
+@pytest.mark.parametrize("case", STALE_OUTPUTS)
+def test_rerun_whose_outputs_do_not_stand_takes_the_full_path(fixture_csv, tmp_path, monkeypatch, case):
+    config = _config(fixture_csv, tmp_path, dk_epochs=2)
+    out = Path(config.output_dir)
+    if case == "failed stock":
+        monkeypatch.setattr(pipeline, "finish_stock", _fail_at_600000)
+    run_all(config, json_mirror=case == "json off")
+    monkeypatch.undo()
+    if case == "per-stock JSON edited":  # so that it no longer reads back as a result
+        _edit_in_place(out / "per_stock" / "000002.json", b'"settings"', b'"settingz"')
+    elif case == "report edited":
+        _edit_in_place(out / "reports" / "summary.csv", b"T=0.01", b"T=0.02")
+    elif case == "nested stray":
+        (out / "reports" / "old").mkdir()
+        (out / "reports" / "old" / "evaluation.csv").write_text("x\n")
+    elif case == "record deleted":
+        (out / "outputs.sha256").unlink()
+    elif case == "record torn":  # a kill mid-write of its second line
+        text = (out / "outputs.sha256").read_text()
+        (out / "outputs.sha256").write_text(text[: text.index("\n") + 30])
+    elif case == "series deleted":
+        (out / "series" / "000002.csv").unlink()
+    elif case == "failed stock":  # a run that did not finish every stock leaves no record
+        assert _record(out) is None
+
+    rendered = []
+    write_reports = pipeline._write_reports
+    monkeypatch.setattr(pipeline, "_write_reports", lambda *args: rendered.append(write_reports(*args)))
+    json_mirror = case == "json on"
+    assert run_all(config, json_mirror=json_mirror).done == ["000001", "000002", "600000"]
+    assert len(rendered) == 1
+    monkeypatch.undo()
+    fresh = dataclasses.replace(config, output_dir=str(tmp_path / "fresh"))
+    run_all(fresh, json_mirror=json_mirror)
+    assert _outputs(out) == _outputs(fresh.output_dir)
+
+
+def test_outputs_record_is_in_sha256sum_format(fixture_csv, tmp_path):
+    config = _config(fixture_csv, tmp_path, dk_epochs=2)
+    run_all(config, json_mirror=True)
+    out = Path(config.output_dir)
+    lines = (out / "outputs.sha256").read_text().splitlines()
+    files = sorted(
+        p.relative_to(out).as_posix()
+        for sub in ("per_stock", "reports", "plots")
+        for p in (out / sub).rglob("*")
+        if p.is_file()
+    )
+    assert [line.split("  ", 1)[1] for line in lines] == sorted(["manifest.jsonl", *files])
+    assert lines == [f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}" for name in sorted(["manifest.jsonl", *files])]
+    assert not any(name.startswith("series/") for name in (line.split("  ", 1)[1] for line in lines))
+    text = (out / "outputs.sha256").read_text()
+    run_all(dataclasses.replace(config, output_dir=str(tmp_path / "again")), json_mirror=True)
+    assert (tmp_path / "again" / "outputs.sha256").read_text() == text  # the same from run to run
+
+
+@pytest.mark.parametrize("json_mirror", [False, True], ids=["csv", "json"])
+def test_table_names_are_the_tables_a_run_writes(layout_reference, tmp_path, json_mirror):
+    config = dataclasses.replace(layout_reference, output_dir=str(tmp_path / "out"))
+    run_all(config, json_mirror=json_mirror)
+    written = sorted(
+        p.relative_to(config.output_dir).as_posix()
+        for sub in ("reports", "plots")
+        for p in (Path(config.output_dir) / sub).rglob("*")
+    )
+    names = pipeline.table_names(config.settings(), json_mirror)
+    assert [s.slug for s in config.settings()] == ["t0.01", "t0.05", "sp20"]
+    assert len(names) == len(set(names)) == 4 * (1 + json_mirror) + 3 * 6
+    assert sorted(names) == written
 
 
 def test_rerun_rewrites_a_report_edited_since(fixture_csv, tmp_path):
@@ -826,6 +989,9 @@ def test_rerun_that_parses_nothing_keeps_the_malformed_counts(fixture_csv, tmp_p
     assert run_all(config).malformed == {str(dirty): 2}
     before = _outputs(config.output_dir)
     monkeypatch.setattr(pipeline, "load_series", _no_parse)
+    assert run_all(config).malformed == {str(dirty): 2}
+    assert _outputs(config.output_dir) == before
+    (Path(config.output_dir) / "outputs.sha256").unlink()  # so the rerun reads results back and renders the tables
     assert run_all(config).malformed == {str(dirty): 2}
     assert _outputs(config.output_dir) == before
 
